@@ -13,6 +13,15 @@ coverage radius up to the factor pi * lambda_t.
 
 Total success averages the per-object probability over the request
 popularity; expected success additionally averages over random file sizes.
+
+Under an exponential lifespan of mean tau, I_T = int_0^inf e^(-t)
+(2^(x0/t) - 1)^(-2/alpha) dt with x0 = z/(W*tau). One vectorized kernel
+evaluates it for every object and size draw at once: a composite
+Gauss-Legendre rule in s = ln t (16 nodes in each of 24 equal panels) over
+a window set for each argument, where the integrand decays
+double-exponentially at both ends. The same rule on 12 panels gives an
+error estimate; a value that is not finite or whose estimate exceeds 1e-8
+relative raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .channel import FadingLaw, RadioParams, fading_moment
 from .content import ContentCatalogue, SizeLaw
@@ -32,6 +40,22 @@ _LN2 = math.log(2.0)
 # Beyond this value of z/(W*tau) the power (2^x - 1)^(-2/alpha) underflows
 # for every alpha of interest; treated as exactly zero.
 _X_CUTOFF = 1024.0
+# Largest relative error estimate accepted from the exponential-lifespan rule.
+_MOMENT_RTOL = 1e-8
+# Rows of the exponential-lifespan kernel evaluated together: bounds its
+# temporaries to _MOMENT_CHUNK x 384 values whatever the number of draws.
+_MOMENT_CHUNK = 64
+
+
+def _composite_gauss_legendre(panels: int):
+    """Nodes and weights on [0, 1]: 16-point Gauss-Legendre in equal panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    u = ((np.arange(panels)[:, None] + (nodes + 1.0) / 2.0) / panels).ravel()
+    return u, np.tile(weights / (2.0 * panels), panels)
+
+
+# the rule and, for its error estimate, the same rule on half the panels
+_MOMENT_RULES = (_composite_gauss_legendre(24), _composite_gauss_legendre(12))
 
 
 @dataclass(frozen=True)
@@ -70,77 +94,120 @@ class AnalyticInputs:
             raise ValueError("placement policy and catalogue disagree on F")
 
 
-def _threshold_power(x, alpha: float):
-    """(2^x - 1)^(-2/alpha), evaluated stably for x in (0, inf).
+def _log_threshold_power(x, q: float):
+    """log (2^x - 1)^(-q) for x in (0, inf].
 
-    Written as exp(-(2/alpha) * (x*ln2 + log1p(-2^(-x)))) so neither the
-    huge values near x = 0 nor the tiny ones at large x lose precision.
+    Written as -q * (x*ln2 + log(-expm1(-x*ln2))), so neither the huge
+    values near x = 0 nor the tiny ones at large x lose precision.
     """
+    y = np.asarray(x, dtype=float) * _LN2
+    return -q * (y + np.log(-np.expm1(-y)))
+
+
+def _threshold_power(x, alpha: float):
+    """(2^x - 1)^(-2/alpha) for x in (0, inf), zero beyond the cutoff."""
     x = np.asarray(x, dtype=float)
-    log2x = x * _LN2
-    with np.errstate(divide="ignore", over="ignore"):
-        log_thr = log2x + np.log1p(-np.exp(-np.minimum(log2x, 745.0)))
-        out = np.exp(-(2.0 / alpha) * log_thr)
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_threshold_power(x, 2.0 / alpha))
     return np.where(x > _X_CUTOFF, 0.0, out)
+
+
+def _moment_argument(z, tau: float, bandwidth: float, alpha: float) -> np.ndarray:
+    """x0 = z/(W*tau) as an array, once every argument is finite and positive."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z) & (z > 0)):
+        raise ValueError("z must be finite and positive")
+    for name, value in (("tau", tau), ("bandwidth", bandwidth), ("alpha", alpha)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return z / (bandwidth * tau)
+
+
+def _exponential_moment(x0, alpha: float):
+    """I_T under an exponential lifespan, and its error estimate, for each x0.
+
+    x0 = z/(W*tau) > 0, of any shape. In s = ln t the integral is
+    int exp(g(s)) ds with g = s - t + log (2^(x0/t) - 1)^(-q), q = 2/alpha.
+    With t_r^2 = q*ln2*x0 and c = 1 + q, the slope of g satisfies
+    dg/ds >= c - t, dg/ds >= t_r^2/t - t and dg/dt <= c/t + t_r^2/t^2 - 1.
+    The first bounds the fall of g below t = 1/8, the second gives
+    g(ln t_r) - g(s) >= 2 t_r (cosh(ln t_r - s) - 1) below t_r, and the
+    third gives dg/dt <= -5/8 above 2 t_r + 8c. So g lies at least 40
+    below its peak outside [t_lo, t_hi]:
+        t_lo = max(e^(-40/(c - 1/8)) / 8, t_r e^(-acosh(1 + 20/t_r))),
+        t_hi = 2 t_r + 8c + 64.
+    Each row is scaled by its own peak before exponentiating, so neither
+    tiny nor huge moments underflow or overflow on the way. Returns
+    (values, |values - half-panel values|); raises ArithmeticError when a
+    value is not finite or its estimate exceeds _MOMENT_RTOL relative.
+    """
+    q = 2.0 / alpha
+    c = 1.0 + q
+    x0 = np.asarray(x0, dtype=float)
+    flat = x0.ravel()
+    values = np.empty_like(flat)
+    errors = np.empty_like(flat)
+    for lo in range(0, flat.size, _MOMENT_CHUNK):
+        x = flat[lo : lo + _MOMENT_CHUNK, None]
+        t_r = np.sqrt(q * _LN2 * x)
+        s_lo = np.maximum(math.log(0.125) - 40.0 / (c - 0.125), np.log(t_r) - np.arccosh(1.0 + 20.0 / t_r))
+        width = np.log(2.0 * t_r + 8.0 * c + 64.0) - s_lo
+        estimates = []
+        for u, w in _MOMENT_RULES:
+            s = s_lo + width * u
+            t = np.exp(s)
+            log_g = s - t + _log_threshold_power(x / t, q)
+            peak = log_g.max(axis=1, keepdims=True)
+            with np.errstate(under="ignore"):
+                estimates.append((np.exp(peak) * width)[:, 0] * (np.exp(log_g - peak) @ w))
+        values[lo : lo + _MOMENT_CHUNK] = estimates[0]
+        errors[lo : lo + _MOMENT_CHUNK] = np.abs(estimates[0] - estimates[1])
+    bad = ~np.isfinite(values) | (errors > _MOMENT_RTOL * values)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"lifespan moment quadrature failed at x0=z/(W*tau)={float(flat[i])!r}, alpha={alpha}: "
+            f"value={float(values[i])!r}, error estimate={float(errors[i])!r} "
+            f"({int(bad.sum())} of {flat.size} arguments)"
+        )
+    return values.reshape(x0.shape), errors.reshape(x0.shape)
 
 
 def lifespan_moment_fixed(z: float, tau: float, bandwidth: float, alpha: float):
     """I_T for a deterministic lifespan: (2^(z/(W*tau)) - 1)^(-2/alpha).
 
     Returns 0 when z/(W*tau) exceeds the underflow cutoff. Accepts array z.
+    Raises ValueError unless every argument is finite and positive.
     """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0) or tau <= 0:
-        raise ValueError("z and tau must be positive")
-    result = _threshold_power(z / (bandwidth * tau), alpha)
+    result = _threshold_power(_moment_argument(z, tau, bandwidth, alpha), alpha)
     return float(result) if result.ndim == 0 else result
 
 
 def lifespan_moment_exponential(z: float, tau: float, bandwidth: float, alpha: float) -> float:
-    """I_T for an exponential lifespan with mean tau.
+    """I_T for one file size z under an exponential lifespan with mean tau.
 
     Evaluates int_0^inf e^(-t) (2^(x0/t) - 1)^(-2/alpha) dt with
-    x0 = z/(W*tau), by adaptive quadrature to relative tolerance 1e-8.
-    The finite piece is split at the integrand's rise (around the ridge
-    t ~ sqrt(x0)) and the tail is handled by the infinite-interval
-    transform of the quadrature routine.
+    x0 = z/(W*tau) by the fixed-node rule of the module docstring: 16-point
+    Gauss-Legendre in each of 24 panels of s = ln t over
+    [ln t_lo, ln t_hi], where t_lo and t_hi come from bounds on the slope
+    of the log integrand and leave out less than e^(-40) of its peak. The
+    error estimate is the difference from the same rule on 12 panels; a
+    value that is not finite, or whose estimate exceeds 1e-8 relative,
+    raises ArithmeticError. Raises ValueError unless every argument is
+    finite and positive. lifespan_moment evaluates whole arrays of sizes
+    in one call.
     """
-    if z <= 0 or tau <= 0:
-        raise ValueError("z and tau must be positive")
-    x0 = z / (bandwidth * tau)
-
-    def f(t):
-        return math.exp(-t) * float(_threshold_power(x0 / t, alpha))
-
-    # Below x0 / cutoff the integrand is identically zero by the underflow
-    # guard; above ~log(1/eps) the e^(-t) factor has died off.
-    lo = x0 / _X_CUTOFF
-    t_ridge = math.sqrt(2.0 * _LN2 * x0 / alpha)
-    mid = max(50.0, 4.0 * t_ridge, 2.0 * lo)
-    pts = sorted({min(max(p, lo * 1.001), mid * 0.999) for p in (t_ridge, x0, 1.0)})
-    head, head_err, info = integrate.quad(
-        f, lo, mid, points=pts, epsabs=0.0, epsrel=1e-9, limit=400, full_output=True
-    )[:3]
-    tail, tail_err = integrate.quad(f, mid, np.inf, epsabs=0.0, epsrel=1e-9, limit=400)
-    value = head + tail
-    abserr = head_err + tail_err
-    if not math.isfinite(value) or (value > 0 and abserr > 1e-8 * value):
-        raise ArithmeticError(
-            f"lifespan moment quadrature failed after {info['last']} subintervals: "
-            f"value={value}, abserr={abserr} (z={z}, tau={tau})"
-        )
-    return value
+    values, _ = _exponential_moment(_moment_argument(z, tau, bandwidth, alpha), alpha)
+    return float(values)
 
 
 def lifespan_moment(law: LifespanLaw, z, bandwidth: float, alpha: float):
-    """I_T under either lifespan law; z may be an array."""
+    """I_T under either lifespan law; z may be an array of any shape."""
     if isinstance(law, FixedLifespan):
         return lifespan_moment_fixed(z, law.mean, bandwidth, alpha)
     if isinstance(law, ExponentialLifespan):
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 0:
-            return lifespan_moment_exponential(float(z), law.mean, bandwidth, alpha)
-        return np.array([lifespan_moment_exponential(v, law.mean, bandwidth, alpha) for v in z])
+        values, _ = _exponential_moment(_moment_argument(z, law.mean, bandwidth, alpha), alpha)
+        return float(values) if values.ndim == 0 else values
     raise TypeError(f"unknown lifespan law {law!r}")
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn, i0e
 
 
@@ -158,7 +157,11 @@ def _numerical_moment(law: FadingLaw, order: float) -> float:
     """E[H^order] by adaptive quadrature over (0, inf).
 
     Uses the substitution h = u / (1 - u) to map the half line onto (0, 1).
+    scipy.integrate is imported here, not at module level, so that
+    importing the package does not load it.
     """
+    from scipy import integrate
+
     pdf = _density(law)
 
     def integrand(u):

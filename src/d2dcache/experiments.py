@@ -159,7 +159,10 @@ class ExperimentPreset:
 
 @dataclass
 class ResultRow:
-    """One (sweep point, variant) result; wall_time is not emitted."""
+    """One (sweep point, variant) result; wall_time is not emitted.
+
+    n_iter is the number of simulated requests behind simulated.
+    """
 
     sweep_name: str
     sweep_value: float
@@ -370,7 +373,7 @@ def _run_validate(preset: ExperimentPreset) -> list:
                 analytic=analytic.value,
                 simulated=sim.value,
                 stderr=sim.standard_error,
-                n_iter=preset.iterations,
+                n_iter=sim.sample_count,
                 seed=preset.seed,
                 wall_time=time.perf_counter() - start,
             )
@@ -424,7 +427,7 @@ def _run_correlation(preset: ExperimentPreset) -> list:
                     analytic=analytic.value,
                     simulated=sim.value,
                     stderr=sim.standard_error,
-                    n_iter=preset.iterations,
+                    n_iter=sim.sample_count,
                     seed=preset.seed,
                     wall_time=time.perf_counter() - start,
                 )
@@ -529,7 +532,7 @@ def _run_comparison(preset: ExperimentPreset) -> list:
                         analytic=value_a,
                         simulated=sim.value,
                         stderr=sim.standard_error,
-                        n_iter=preset.iterations,
+                        n_iter=sim.sample_count,
                         seed=preset.seed,
                         wall_time=time.perf_counter() - start,
                     )
@@ -537,19 +540,38 @@ def _run_comparison(preset: ExperimentPreset) -> list:
     return rows
 
 
+def _wilson_interval(p_hat: float, n: int, z: float) -> tuple:
+    """Wilson score interval of a binomial proportion; valid at p_hat 0 and 1."""
+    z2n = z * z / n
+    center = (p_hat + z2n / 2.0) / (1.0 + z2n)
+    half = z / (1.0 + z2n) * math.sqrt(p_hat * (1.0 - p_hat) / n + z2n / (4.0 * n))
+    return center - half, center + half
+
+
 def run_preset(preset: ExperimentPreset) -> list:
-    """Run all sweep points and variants of a preset, in deterministic order."""
+    """Run all sweep points and variants of a preset, in deterministic order.
+
+    Logs a warning for each row whose analytic value lies outside the
+    Wilson score interval at 4 standard errors around the simulated
+    frequency of its n_iter requests.
+    """
     runner = {"validate": _run_validate, "correlation": _run_correlation, "comparison": _run_comparison}[preset.kind]
     rows = runner(preset)
-    flagged = [r for r in rows if r.stderr > 0 and abs(r.simulated - r.analytic) > 4 * r.stderr]
-    for r in flagged:
-        log.warning(
-            "simulated value %d standard errors from analytic at %s=%s (%s)",
-            round(abs(r.simulated - r.analytic) / r.stderr),
-            r.sweep_name,
-            r.sweep_value,
-            r.variant,
-        )
+    for r in rows:
+        lo, hi = _wilson_interval(r.simulated, r.n_iter, 4.0)
+        if not lo <= r.analytic <= hi:
+            log.warning(
+                "simulated value %.4g more than 4 standard errors from analytic %.4g at %s=%s (%s): "
+                "Wilson score interval [%.4g, %.4g] over %d iterations",
+                r.simulated,
+                r.analytic,
+                r.sweep_name,
+                r.sweep_value,
+                r.variant,
+                lo,
+                hi,
+                r.n_iter,
+            )
     return rows
 
 

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+import d2dcache
 from d2dcache import (
     AnalyticInputs,
     ContentCatalogue,
@@ -23,6 +29,8 @@ from d2dcache import (
     total_success,
     zipf_popularity,
 )
+from d2dcache.analytics import _exponential_moment
+from d2dcache.experiments import COMPARISON_SIZE_LAWS
 
 W = 5e6
 ALPHA = 4.0
@@ -120,6 +128,91 @@ def test_exponential_moment_against_monte_carlo():
         draws = np.asarray(lifespan_moment_fixed(z / t, tau, W, 4.0))
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - quad_value) < 3 * se, (z, tau)
+
+
+def _quad_oracle(x0, alpha):
+    """(I_T, abserr) by adaptive quadrature in t, split around the ridge."""
+    q = 2.0 / alpha
+    y0 = x0 * math.log(2.0)
+
+    def f(t):
+        return math.exp(-t - q * y0 / t) * (-math.expm1(-y0 / t)) ** -q
+
+    ridge = math.sqrt(q * y0)
+    edges = [0.0, *sorted({ridge / 4.0, ridge, 1.0, 4.0 * ridge + 4.0}), math.inf]
+    pieces = [
+        integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[:2] for a, b in zip(edges, edges[1:])
+    ]
+    return math.fsum(v for v, _ in pieces), math.fsum(e for _, e in pieces)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0])
+def test_exponential_kernel_against_quad_oracle(alpha):
+    x0 = np.logspace(-6.0, 2.0, 17)
+    values, estimates = _exponential_moment(x0, alpha)
+    for x, got, estimate in zip(x0, values, estimates):
+        want, oracle_err = _quad_oracle(float(x), alpha)
+        assert got == pytest.approx(want, rel=1e-9), x
+        # the half-panel estimate bounds the error, up to the oracle's own
+        assert abs(got - want) <= estimate + oracle_err, x
+
+
+def test_exponential_kernel_array_matches_scalar():
+    tau = 300.0
+    z = np.logspace(-3.0, 12.0, 150)
+    array = lifespan_moment(ExponentialLifespan(tau), z, W, 4.0)
+    scalar = [lifespan_moment_exponential(float(v), tau, W, 4.0) for v in z]
+    np.testing.assert_allclose(array, scalar, rtol=1e-14, atol=0.0)
+    grid = z[:120].reshape(12, 10)
+    two_d = lifespan_moment(ExponentialLifespan(tau), grid, W, 4.0)
+    assert two_d.shape == (12, 10)
+    np.testing.assert_allclose(two_d, array[:120].reshape(12, 10), rtol=1e-14, atol=0.0)
+
+
+def test_exponential_moment_tiny_threshold_matches_asymptote():
+    # x0 = z/(W*tau) = 2e-10: the moment tends to Gamma(1 + q) (x0 ln2)^(-q)
+    x0 = 1.0 / (W * 1000.0)
+    asymptote = math.gamma(1.5) * (x0 * math.log(2.0)) ** -0.5
+    assert asymptote == pytest.approx(75269.184779, rel=1e-11)
+    assert lifespan_moment_exponential(1.0, 1000.0, W, 4.0) == pytest.approx(asymptote, rel=1e-9)
+
+
+@pytest.mark.parametrize("law", sorted(COMPARISON_SIZE_LAWS))
+def test_expected_success_under_exponential_lifespan_for_every_size_law(law):
+    # lognormal and Weibull draws reach sizes far below a bit
+    inputs = make_inputs(lifespan=ExponentialLifespan(300.0))
+    rng = np.random.default_rng(np.random.SeedSequence((0, 2)))
+    est = expected_success(inputs, COMPARISON_SIZE_LAWS[law], mc_samples=1000, rng=rng)
+    assert math.isfinite(est.value) and 0.0 <= est.value <= 1.0
+    assert math.isfinite(est.standard_error)
+
+
+_NONFINITE_CALLS = {
+    "fixed": lifespan_moment_fixed,
+    "exponential": lifespan_moment_exponential,
+    "dispatch_fixed": lambda z, tau, w, alpha: lifespan_moment(FixedLifespan(tau), z, w, alpha),
+    "dispatch_exponential": lambda z, tau, w, alpha: lifespan_moment(ExponentialLifespan(tau), z, w, alpha),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("entry", sorted(_NONFINITE_CALLS))
+def test_moment_rejects_nonfinite_inputs(entry, position, bad):
+    args = [1e9, 100.0, W, 4.0]
+    args[position] = bad
+    with pytest.raises(ValueError):
+        _NONFINITE_CALLS[entry](*args)
+    if position == 0:
+        with pytest.raises(ValueError):
+            _NONFINITE_CALLS[entry](np.array([1e9, bad]), *args[1:])
+
+
+def test_package_import_does_not_load_scipy_integrate():
+    src = str(Path(d2dcache.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, d2dcache; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_moment_dispatcher_matches_specialized_forms():

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 from dataclasses import replace
 
 import pytest
@@ -253,6 +254,35 @@ def test_soft_gate_warns_on_large_deviation(monkeypatch, caplog):
         rows = run_preset(tiny_validate_preset())
     assert len(rows) == 1
     assert any("standard errors from analytic" in rec.message for rec in caplog.records)
+
+
+def _flagged(monkeypatch, caplog, analytic, simulated, iterations):
+    """Whether run_preset warns about one row with these values."""
+    monkeypatch.setattr(experiments, "total_success", lambda inputs: MetricEstimate(value=analytic))
+    monkeypatch.setattr(
+        experiments,
+        "estimate_total_success",
+        lambda config: MetricEstimate(
+            value=simulated,
+            standard_error=math.sqrt(simulated * (1.0 - simulated) / config.iterations),
+            sample_count=config.iterations,
+        ),
+    )
+    with caplog.at_level(logging.WARNING, logger="d2dcache.experiments"):
+        run_preset(tiny_validate_preset(iterations=iterations))
+    return any("standard errors from analytic" in rec.message for rec in caplog.records)
+
+
+def test_flag_catches_zero_frequency(monkeypatch, caplog):
+    # p-hat = 0 has a zero normal standard error; its Wilson interval at
+    # 4 standard errors over 2000 iterations ends near 0.008
+    assert _flagged(monkeypatch, caplog, analytic=0.05, simulated=0.0, iterations=2000)
+
+
+def test_flag_spares_small_samples_inside_wilson_interval(monkeypatch, caplog):
+    # 1/20 against 0.3 is 5.1 normal standard errors, but inside the
+    # Wilson interval at 4 standard errors, about [0.003, 0.497]
+    assert not _flagged(monkeypatch, caplog, analytic=0.3, simulated=0.05, iterations=20)
 
 
 def test_ordered_comparison_logs_top_sizes(monkeypatch, caplog):
