@@ -31,6 +31,7 @@ from .channel import (
     snr,
 )
 from .content import (
+    ORDERING_MODES,
     ContentCatalogue,
     ExponentialSize,
     LogNormalSize,
@@ -40,10 +41,10 @@ from .content import (
     WeibullSize,
     apply_ordering,
     mean_size,
+    order_sizes,
     sample_sizes,
     zipf_popularity,
 )
-from .content import ORDERING_MODES
 from .experiments import (
     ConfigError,
     ExperimentPreset,
@@ -54,9 +55,9 @@ from .experiments import (
     load_config,
     run_preset,
 )
-from .geometry import PointField, Window, sample_ppp
+from .geometry import Window, sample_ppp
 from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
-from .placement import CacheInventory, PlacementPolicy, popularity_weighted_marginals, sample_inventory
+from .placement import PlacementPolicy, popularity_weighted_marginals
 from .simulator import (
     SimulationConfig,
     ServiceOutcome,
@@ -70,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticInputs",
-    "CacheInventory",
     "ConfigError",
     "ContentCatalogue",
     "ExperimentPreset",
@@ -86,7 +86,6 @@ __all__ = [
     "PRESET_NAMES",
     "ParetoSize",
     "PlacementPolicy",
-    "PointField",
     "PopularityLaw",
     "RadioParams",
     "ResultRow",
@@ -110,6 +109,7 @@ __all__ = [
     "lifespan_moment_fixed",
     "load_config",
     "mean_size",
+    "order_sizes",
     "per_object_success",
     "popularity_weighted_marginals",
     "rate",
@@ -117,7 +117,6 @@ __all__ = [
     "run_iteration",
     "run_preset",
     "sample_fading",
-    "sample_inventory",
     "sample_lifespan",
     "sample_ppp",
     "sample_sizes",

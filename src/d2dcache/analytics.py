@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FadingLaw, RadioParams, fading_moment
-from .content import ContentCatalogue, SizeLaw
+from .content import ContentCatalogue, SizeLaw, order_sizes
 from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
@@ -72,8 +72,8 @@ class MetricEstimate:
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"probability out of range: {self.value}")
-        if self.standard_error < 0:
-            raise ValueError("standard error must be nonnegative")
+        if not 0 <= self.standard_error < math.inf:
+            raise ValueError("standard error must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -261,13 +261,19 @@ def expected_success(
     size_law: SizeLaw,
     mc_samples: int = 100_000,
     rng: np.random.Generator | None = None,
+    order: str = "independent",
 ) -> MetricEstimate:
     """Service success averaged over both popularity and random file sizes.
 
     Sizes enter only through I_T, so the expectation over the size law is
-    estimated by Monte Carlo with one set of draws shared across all
-    objects (common random numbers); the catalogue's realized sizes are
-    ignored. The returned standard error reflects the size sampling only.
+    estimated by Monte Carlo; the catalogue's realized sizes are ignored.
+    With order "independent" one size draw is shared across all objects
+    (common random numbers) for each of mc_samples draws. Otherwise sizes
+    are no longer independent across objects: each of
+    max(200, mc_samples // F) draws is a whole catalogue of F sizes,
+    assigned to popularity ranks per order (see content.order_sizes). The
+    returned standard error and sample count are those of the draws, so
+    they reflect the size sampling only.
     """
     if mc_samples < 1000:
         raise ValueError("mc_samples must be at least 1000")
@@ -275,16 +281,22 @@ def expected_success(
     a = inputs.catalogue.popularity.a
     b = inputs.policy.b
     cached = b > 0
-    z = np.asarray(size_law.inverse_cdf(rng.random(mc_samples)), dtype=float)
-    its = np.atleast_1d(
-        lifespan_moment(inputs.lifespan, z, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
-    )
+    if order == "independent":
+        # one row: each draw's size serves every cached object
+        draws = mc_samples
+        z = np.asarray(size_law.inverse_cdf(rng.random(draws)), dtype=float)[None, :]
+    else:
+        # one column per draw: the ordered catalogue's cached objects
+        draws = max(200, mc_samples // inputs.catalogue.F)
+        u = rng.random((draws, inputs.catalogue.F))
+        z = order_sizes(np.asarray(size_law.inverse_cdf(u), dtype=float), order)[:, cached].T
+    its = lifespan_moment(inputs.lifespan, z, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
     # per-draw failure mass of the cached objects: rows = objects, cols = draws
     coeffs = _coefficient(inputs) * b[cached]
-    per_draw = a[cached] @ np.exp(-np.outer(coeffs, its))
+    per_draw = a[cached] @ np.exp(-coeffs[:, None] * its)
     failure = float(a[~cached].sum()) + float(per_draw.mean())
-    stderr = float(per_draw.std(ddof=1) / math.sqrt(mc_samples))
-    return MetricEstimate(value=_clamp(1.0 - failure), standard_error=stderr, sample_count=mc_samples)
+    stderr = float(per_draw.std(ddof=1) / math.sqrt(draws))
+    return MetricEstimate(value=_clamp(1.0 - failure), standard_error=stderr, sample_count=draws)
 
 
 def coverage_radius_scale(inputs: AnalyticInputs) -> float:

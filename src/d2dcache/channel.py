@@ -30,14 +30,14 @@ class RadioParams:
     pathloss_exponent: float
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-        if self.noise <= 0:
-            raise ValueError("noise must be positive")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.pathloss_exponent <= 2:
-            raise ValueError("pathloss_exponent must exceed 2")
+        if not 0 < self.power < math.inf:
+            raise ValueError("power must be finite and positive")
+        if not 0 < self.noise < math.inf:
+            raise ValueError("noise must be finite and positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and positive")
+        if not 2 < self.pathloss_exponent < math.inf:
+            raise ValueError("pathloss_exponent must be finite and exceed 2")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class ExponentialFading:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class LogNormalFading:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
+            raise ValueError("mu must be finite and sigma finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class WeibullFading:
     shape: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0 or self.shape <= 0:
-            raise ValueError("scale and shape must be positive")
+        if not (0 < self.scale < math.inf and 0 < self.shape < math.inf):
+            raise ValueError("scale and shape must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class NakagamiFading:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0 or self.omega <= 0:
-            raise ValueError("m and omega must be positive")
+        if not (0 < self.m < math.inf and 0 < self.omega < math.inf):
+            raise ValueError("m and omega must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class RiceFading:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.nu < 0 or self.sigma <= 0:
-            raise ValueError("nu must be nonnegative and sigma positive")
+        if not (0 <= self.nu < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError("nu must be finite and nonnegative and sigma finite and positive")
 
 
 FadingLaw = ExponentialFading | LogNormalFading | WeibullFading | NakagamiFading | RiceFading
@@ -183,8 +183,8 @@ def fading_moment(law: FadingLaw, alpha: float) -> float:
     Exponential, log-normal and Weibull laws use exact closed forms; the
     Nakagami and Rice moments are computed numerically from their densities.
     """
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2")
+    if not 2 < alpha < math.inf:
+        raise ValueError("alpha must be finite and exceed 2")
     q = 2.0 / alpha
     if isinstance(law, ExponentialFading):
         return law.rate ** (-q) * gamma_fn(q + 1.0)

@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gamma as gamma_fn, ndtr, ndtri
 
-ORDERING_MODES = ("independent", "increasing_with_popularity_index", "decreasing_with_popularity_index")
+# How sizes are assigned to popularity ranks: as drawn, or sorted so that
+# size increases (decreases) from the most popular object down.
+ORDERING_MODES = ("independent", "increasing", "decreasing")
 
 _U_EPS = 1e-15  # keeps inverse CDFs strictly inside the law's support
 
@@ -27,9 +29,9 @@ class PopularityLaw:
     a: np.ndarray
 
     def __post_init__(self):
-        if abs(float(np.sum(self.a)) - 1.0) > 1e-12:
+        if not abs(float(np.sum(self.a)) - 1.0) <= 1e-12:
             raise ValueError("popularity vector must sum to 1")
-        if np.any(np.diff(self.a) > 0):
+        if not np.all(np.diff(self.a) <= 0):
             raise ValueError("popularity vector must be nonincreasing")
 
 
@@ -37,8 +39,8 @@ def zipf_popularity(F: int, gamma: float) -> PopularityLaw:
     """Build the Zipf popularity vector for a catalogue of F objects."""
     if F < 2:
         raise ValueError("catalogue needs at least two objects")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
     ranks = np.arange(1, F + 1, dtype=float)
     weights = ranks ** (-gamma)
     a = weights / weights.sum()
@@ -56,8 +58,8 @@ class UniformSize:
 
     def __post_init__(self):
         # z_min == z_max is allowed: a point mass at a single size
-        if not 0 < self.z_min <= self.z_max:
-            raise ValueError("need 0 < z_min <= z_max")
+        if not 0 < self.z_min <= self.z_max < math.inf:
+            raise ValueError("need 0 < z_min <= z_max < inf")
 
     def inverse_cdf(self, u):
         return self.z_min + (self.z_max - self.z_min) * np.asarray(u, dtype=float)
@@ -68,8 +70,8 @@ class ExponentialSize:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be finite and positive")
 
     def inverse_cdf(self, u):
         return -np.log1p(-_clip_unit(u)) / self.rate
@@ -81,8 +83,8 @@ class ParetoSize:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("shape and scale must be finite and positive")
 
     def inverse_cdf(self, u):
         return self.scale * (1.0 - _clip_unit(u)) ** (-1.0 / self.shape)
@@ -94,8 +96,8 @@ class WeibullSize:
     shape: float
 
     def __post_init__(self):
-        if self.scale <= 0 or self.shape <= 0:
-            raise ValueError("scale and shape must be positive")
+        if not (0 < self.scale < math.inf and 0 < self.shape < math.inf):
+            raise ValueError("scale and shape must be finite and positive")
 
     def inverse_cdf(self, u):
         return self.scale * (-np.log1p(-_clip_unit(u))) ** (1.0 / self.shape)
@@ -111,10 +113,10 @@ class LogNormalSize:
     z_max: float | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.truncated and not 0 < self.z_min < self.z_max:
-            raise ValueError("need 0 < z_min < z_max when truncating")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
+            raise ValueError("mu must be finite and sigma finite and positive")
+        if self.truncated and not 0 < self.z_min < self.z_max < math.inf:
+            raise ValueError("need 0 < z_min < z_max < inf when truncating")
 
     @property
     def truncated(self) -> bool:
@@ -178,8 +180,8 @@ class ContentCatalogue:
     """F objects with fixed popularity and one realized size per object.
 
     Object j (0-based internally) has request probability popularity.a[j]
-    and size sizes[j] bits. ordering_mode records how sizes relate to the
-    popularity rank.
+    and size sizes[j] bits. ordering_mode, one of ORDERING_MODES, records
+    how sizes relate to the popularity rank.
     """
 
     popularity: PopularityLaw
@@ -191,14 +193,10 @@ class ContentCatalogue:
         object.__setattr__(self, "sizes", sizes)
         if sizes.shape != (self.popularity.F,):
             raise ValueError("need exactly one size per object")
-        if np.any(sizes <= 0):
-            raise ValueError("sizes must be positive")
-        if self.ordering_mode not in ORDERING_MODES:
-            raise ValueError(f"unknown ordering mode {self.ordering_mode!r}")
-        if self.ordering_mode == "increasing_with_popularity_index" and np.any(np.diff(sizes) < 0):
-            raise ValueError("sizes must be nondecreasing in popularity rank")
-        if self.ordering_mode == "decreasing_with_popularity_index" and np.any(np.diff(sizes) > 0):
-            raise ValueError("sizes must be nonincreasing in popularity rank")
+        if not np.all((sizes > 0) & (sizes < math.inf)):
+            raise ValueError("sizes must be finite and positive")
+        if not np.array_equal(order_sizes(sizes, self.ordering_mode), sizes):
+            raise ValueError(f"sizes are not ordered {self.ordering_mode} in popularity rank")
 
     @property
     def F(self) -> int:
@@ -212,19 +210,21 @@ class ContentCatalogue:
                 fh.write(f"{j + 1},{float(self.popularity.a[j])!r},{float(self.sizes[j])!r}\n")
 
 
-def apply_ordering(catalogue: ContentCatalogue, mode: str) -> ContentCatalogue:
-    """Permute the catalogue's size multiset against the popularity ranks.
+def order_sizes(z, mode: str):
+    """Assign size draws to popularity ranks along the last axis of z.
 
-    increasing_with_popularity_index sorts sizes ascending (most popular
-    object gets the smallest file), decreasing sorts descending, and
-    independent keeps the sampled order.
+    increasing sorts ascending (the most popular object gets the smallest
+    file), decreasing sorts descending, and independent keeps the drawn
+    order.
     """
     if mode not in ORDERING_MODES:
-        raise ValueError(f"unknown ordering mode {mode!r}")
+        raise ValueError(f"unknown ordering mode {mode!r}; expected one of {ORDERING_MODES}")
     if mode == "independent":
-        sizes = catalogue.sizes
-    elif mode == "increasing_with_popularity_index":
-        sizes = np.sort(catalogue.sizes)
-    else:
-        sizes = np.sort(catalogue.sizes)[::-1]
-    return replace(catalogue, sizes=sizes.copy(), ordering_mode=mode)
+        return z
+    z = np.sort(z, axis=-1)
+    return z if mode == "increasing" else z[..., ::-1]
+
+
+def apply_ordering(catalogue: ContentCatalogue, mode: str) -> ContentCatalogue:
+    """Permute the catalogue's size multiset against the popularity ranks."""
+    return replace(catalogue, sizes=order_sizes(catalogue.sizes, mode).copy(), ordering_mode=mode)

@@ -24,12 +24,24 @@ Default experiment constants (all presets start from these):
     MC_SIZE_SAMPLES           200000     size draws for the expected metric
     ========================  =========  =====================================
 
+One sweep runner, run_preset, serves the three preset kinds; they differ
+only in how each variant is set up:
+
+- validate: an exponential lifespan and one catalogue of exponential
+  sizes, assigned to popularity ranks per the preset's reorder; the
+  closed form is total_success.
+- correlation: the same catalogue, and each variant names the ordering
+  (one of content.ORDERING_MODES) applied to it.
+- comparison: a fixed lifespan and, per variant, a size law that the
+  simulator redraws every iteration, ordered per reorder; the closed form
+  is expected_success over that law with the same ordering.
+
 Seed derivation: a preset's integer seed S feeds three independent
 sub-streams — (S, 1) for the catalogue size sample, (S, 2) for the
-size-expectation Monte Carlo, and (S, 3, sweep, point[, variant]) as the
-simulator master seed. The correlation preset deliberately shares the
-simulator stream across its variants so their curves differ only through
-the size permutation.
+size-expectation Monte Carlo, and (S, 3, sweep, point, variant) as the
+simulator master seed. The correlation preset deliberately shares
+(S, 3, sweep, point) across its variants so their curves differ only
+through the size permutation.
 """
 
 from __future__ import annotations
@@ -43,7 +55,6 @@ import logging
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +62,7 @@ import numpy as np
 from .analytics import AnalyticInputs, expected_success, total_success
 from .channel import ExponentialFading, RadioParams
 from .content import (
+    ORDERING_MODES,
     ContentCatalogue,
     ExponentialSize,
     LogNormalSize,
@@ -59,6 +71,7 @@ from .content import (
     WeibullSize,
     apply_ordering,
     mean_size,
+    order_sizes,
     sample_sizes,
     zipf_popularity,
 )
@@ -125,7 +138,7 @@ class ExperimentPreset:
     mc_samples: int = MC_SIZE_SAMPLES
     parallelism: int = 1
     window_half_width: float | None = None
-    reorder: str | None = None
+    reorder: str = "independent"
     out_path: str | None = None
     out_format: str = "csv"
 
@@ -137,14 +150,19 @@ class ExperimentPreset:
         for sweep_name, grid in self.sweeps:
             if len(grid) == 0:
                 raise ConfigError(f"sweep {sweep_name!r} has an empty grid")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
+            if not all(b > a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"sweep {sweep_name!r} grid must be strictly increasing")
-            if min(grid) <= 0:
-                raise ConfigError(f"sweep {sweep_name!r} values must be positive")
-        if self.alpha <= 2:
-            raise ConfigError("alpha must exceed 2")
-        if min(self.density, self.power, self.noise_density, self.bandwidth) <= 0:
-            raise ConfigError("density, power, noise_density and bandwidth must be positive")
+            if not all(0 < v < math.inf for v in grid):
+                raise ConfigError(f"sweep {sweep_name!r} values must be finite and positive")
+        if not 2 < self.alpha < math.inf:
+            raise ConfigError("alpha must be finite and exceed 2")
+        for name in ("density", "power", "noise_density", "bandwidth", "size_mean_bits", "fixed_lifespan"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if not 0 <= self.zipf_exponent < math.inf:
+            raise ConfigError(f"zipf_exponent must be finite and nonnegative, got {self.zipf_exponent!r}")
+        if self.reorder not in ORDERING_MODES:
+            raise ConfigError(f"unknown ordering {self.reorder!r}; expected one of {ORDERING_MODES}")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
         if self.mc_samples < 1000:
@@ -153,13 +171,13 @@ class ExperimentPreset:
             raise ConfigError("need catalogue_size >= 2 * cache_capacity")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
-        if self.window_half_width is not None and self.window_half_width <= 0:
-            raise ConfigError("window_half_width must be positive")
+        if self.window_half_width is not None and not 0 < self.window_half_width < math.inf:
+            raise ConfigError("window_half_width must be finite and positive")
 
 
 @dataclass
 class ResultRow:
-    """One (sweep point, variant) result; wall_time is not emitted.
+    """One (sweep point, variant) result; its fields are CSV_COLUMNS.
 
     n_iter is the number of simulated requests behind simulated.
     """
@@ -172,7 +190,6 @@ class ResultRow:
     stderr: float
     n_iter: int
     seed: int
-    wall_time: float = 0.0
 
     def __post_init__(self):
         for value in (self.analytic, self.simulated):
@@ -321,223 +338,41 @@ def _radio(preset: ExperimentPreset) -> RadioParams:
     )
 
 
-def _sim_seed(preset: ExperimentPreset, *key) -> tuple:
-    return (preset.seed, 3, *key)
-
-
-def _simulate(preset, inputs, window, master_seed, size_law=None, reorder=None):
-    config = SimulationConfig(
-        inputs=inputs,
-        window=window,
-        iterations=preset.iterations,
-        master_seed=master_seed,
-        parallelism=preset.parallelism,
-        size_law=size_law,
-        reorder=reorder,
-    )
-    return estimate_total_success(config)
-
-
-def _run_validate(preset: ExperimentPreset) -> list:
-    radio = _radio(preset)
-    popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
-    policy = popularity_weighted_marginals(popularity, preset.cache_capacity)
-    law = ExponentialSize(1.0 / preset.size_mean_bits)
-    sizes = sample_sizes(law, preset.catalogue_size, np.random.default_rng(np.random.SeedSequence((preset.seed, 1))))
-    catalogue = ContentCatalogue(popularity=popularity, sizes=sizes)
-    sweep_name, grid = preset.sweeps[0]
-
-    def inputs_at(tau):
-        return AnalyticInputs(
-            density=preset.density,
-            radio=radio,
-            fading=ExponentialFading(1.0),
-            lifespan=ExponentialLifespan(tau),
-            policy=policy,
-            catalogue=catalogue,
+def _points(preset: ExperimentPreset) -> list:
+    """Every sweep point in row order: (sweep index, point index, sweep name, value, density, tau)."""
+    return [
+        (
+            s_idx,
+            p_idx,
+            sweep_name,
+            value,
+            value if sweep_name == "density" else preset.density,
+            value if sweep_name == "tau_mean" else preset.fixed_lifespan,
         )
-
-    hw = preset.window_half_width or required_half_width(inputs_at(max(grid)))
-    rows = []
-    for p_idx, tau in enumerate(grid):
-        start = time.perf_counter()
-        with _at_point(sweep_name, tau, preset.variants[0]):
-            inputs = inputs_at(tau)
-            analytic = total_success(inputs)
-            sim = _simulate(preset, inputs, Window(hw), _sim_seed(preset, 0, p_idx, 0))
-        rows.append(
-            ResultRow(
-                sweep_name=sweep_name,
-                sweep_value=float(tau),
-                variant=preset.variants[0],
-                analytic=analytic.value,
-                simulated=sim.value,
-                stderr=sim.standard_error,
-                n_iter=sim.sample_count,
-                seed=preset.seed,
-                wall_time=time.perf_counter() - start,
-            )
-        )
-    return rows
+        for s_idx, (sweep_name, grid) in enumerate(preset.sweeps)
+        for p_idx, value in enumerate(grid)
+    ]
 
 
-_ORDERING_MODES = {
-    "increasing": "increasing_with_popularity_index",
-    "independent": "independent",
-    "decreasing": "decreasing_with_popularity_index",
-}
+def _variants(preset: ExperimentPreset, popularity) -> list:
+    """Per variant: (name, catalogue before ordering, ordering, size law or None).
 
-
-def _run_correlation(preset: ExperimentPreset) -> list:
-    radio = _radio(preset)
-    popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
-    policy = popularity_weighted_marginals(popularity, preset.cache_capacity)
-    law = ExponentialSize(1.0 / preset.size_mean_bits)
-    sizes = sample_sizes(law, preset.catalogue_size, np.random.default_rng(np.random.SeedSequence((preset.seed, 1))))
-    base = ContentCatalogue(popularity=popularity, sizes=sizes)
-    catalogues = {v: apply_ordering(base, _ORDERING_MODES[v]) for v in preset.variants}
-    sweep_name, grid = preset.sweeps[0]
-
-    def inputs_at(tau, cat):
-        return AnalyticInputs(
-            density=preset.density,
-            radio=radio,
-            fading=ExponentialFading(1.0),
-            lifespan=ExponentialLifespan(tau),
-            policy=policy,
-            catalogue=cat,
-        )
-
-    hw = preset.window_half_width or required_half_width(inputs_at(max(grid), base))
-    rows = []
-    for p_idx, tau in enumerate(grid):
-        for variant in preset.variants:
-            start = time.perf_counter()
-            with _at_point(sweep_name, tau, variant):
-                inputs = inputs_at(tau, catalogues[variant])
-                analytic = total_success(inputs)
-                # one shared stream per sweep point: variants differ only
-                # through the size permutation, so their curves are coupled
-                sim = _simulate(preset, inputs, Window(hw), _sim_seed(preset, 0, p_idx))
-            rows.append(
-                ResultRow(
-                    sweep_name=sweep_name,
-                    sweep_value=float(tau),
-                    variant=variant,
-                    analytic=analytic.value,
-                    simulated=sim.value,
-                    stderr=sim.standard_error,
-                    n_iter=sim.sample_count,
-                    seed=preset.seed,
-                    wall_time=time.perf_counter() - start,
-                )
-            )
-    return rows
-
-
-def _ordered_expected(inputs, law, n_draws, rng):
-    """Expected success when each size sample is sorted large-to-popular.
-
-    Draws whole catalogues, sorts each descending and evaluates the closed
-    form per draw; returns (mean, stderr). Used for the ordered comparison,
-    where sizes are no longer independent across objects.
+    Comparison variants name a size law that the simulator redraws every
+    iteration; their catalogue is a placeholder at the law's mean size.
+    Validate and correlation variants share one exponential catalogue from
+    the (seed, 1) stream, and a correlation variant names its ordering.
     """
-    from .analytics import lifespan_moment, _coefficient  # local: keep module surface small
-
-    F = inputs.catalogue.F
-    a = inputs.catalogue.popularity.a
-    b = inputs.policy.b
-    cached = np.nonzero(b > 0)[0]
-    u = rng.random((n_draws, F))
-    z = np.sort(np.asarray(law.inverse_cdf(u)), axis=1)[:, ::-1]
-    its = np.asarray(
-        lifespan_moment(inputs.lifespan, z[:, cached], inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
-    )
-    coeff = _coefficient(inputs) * b[cached]
-    per_draw = np.exp(-its * coeff) @ a[cached] + a.sum() - a[cached].sum()
-    mean = float(1.0 - per_draw.mean())
-    stderr = float(per_draw.std(ddof=1) / math.sqrt(n_draws))
-    return min(max(mean, 0.0), 1.0), stderr
-
-
-def _run_comparison(preset: ExperimentPreset) -> list:
-    radio = _radio(preset)
-    popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
-    policy = popularity_weighted_marginals(popularity, preset.cache_capacity)
-    rows = []
-
-    def inputs_at(density, tau, law):
-        # placeholder catalogue at the law's mean size: the simulator
-        # resamples real sizes every iteration
-        template = ContentCatalogue(
-            popularity=popularity, sizes=np.full(preset.catalogue_size, mean_size(law))
-        )
-        return AnalyticInputs(
-            density=density,
-            radio=radio,
-            fading=ExponentialFading(1.0),
-            lifespan=FixedLifespan(tau),
-            policy=policy,
-            catalogue=template,
-        )
-
-    max_tau = max(max(grid) for name, grid in preset.sweeps if name == "tau_mean") if any(
-        name == "tau_mean" for name, _ in preset.sweeps
-    ) else preset.fixed_lifespan
-    hw = preset.window_half_width or max(
-        required_half_width(inputs_at(preset.density, max_tau, law)) for law in COMPARISON_SIZE_LAWS.values()
-    )
-
-    if preset.reorder:
-        for variant in preset.variants:
-            law = COMPARISON_SIZE_LAWS[variant]
-            sample = np.sort(
-                sample_sizes(law, preset.catalogue_size, np.random.default_rng(np.random.SeedSequence((preset.seed, 1))))
-            )[::-1]
-            log.info(
-                "top-5 %s sizes (Gb): %s", variant, np.array2string(sample[:5] / 1e9, precision=3, separator=", ")
-            )
-
-    for s_idx, (sweep_name, grid) in enumerate(preset.sweeps):
-        for p_idx, value in enumerate(grid):
-            density = value if sweep_name == "density" else preset.density
-            tau = value if sweep_name == "tau_mean" else preset.fixed_lifespan
-            for v_idx, variant in enumerate(preset.variants):
-                start = time.perf_counter()
-                with _at_point(sweep_name, value, variant):
-                    law = COMPARISON_SIZE_LAWS[variant]
-                    inputs = inputs_at(density, tau, law)
-                    rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
-                    if preset.reorder == "decreasing":
-                        value_a, _ = _ordered_expected(
-                            inputs, law, max(200, preset.mc_samples // preset.catalogue_size), rng
-                        )
-                    elif preset.reorder is None:
-                        value_a = expected_success(inputs, law, preset.mc_samples, rng).value
-                    else:
-                        raise ConfigError(f"unsupported reorder {preset.reorder!r} for comparisons")
-                    sim = _simulate(
-                        preset,
-                        inputs,
-                        Window(hw),
-                        _sim_seed(preset, s_idx, p_idx, v_idx),
-                        size_law=law,
-                        reorder=preset.reorder,
-                    )
-                rows.append(
-                    ResultRow(
-                        sweep_name=sweep_name,
-                        sweep_value=float(value),
-                        variant=variant,
-                        analytic=value_a,
-                        simulated=sim.value,
-                        stderr=sim.standard_error,
-                        n_iter=sim.sample_count,
-                        seed=preset.seed,
-                        wall_time=time.perf_counter() - start,
-                    )
-                )
-    return rows
+    F = preset.catalogue_size
+    if preset.kind == "comparison":
+        laws = [(v, COMPARISON_SIZE_LAWS[v]) for v in preset.variants]
+        return [
+            (v, ContentCatalogue(popularity=popularity, sizes=np.full(F, mean_size(law))), preset.reorder, law)
+            for v, law in laws
+        ]
+    rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 1)))
+    sizes = sample_sizes(ExponentialSize(1.0 / preset.size_mean_bits), F, rng)
+    base = ContentCatalogue(popularity=popularity, sizes=sizes)
+    return [(v, base, v if preset.kind == "correlation" else preset.reorder, None) for v in preset.variants]
 
 
 def _wilson_interval(p_hat: float, n: int, z: float) -> tuple:
@@ -548,71 +383,128 @@ def _wilson_interval(p_hat: float, n: int, z: float) -> tuple:
     return center - half, center + half
 
 
+def _check_agreement(row: ResultRow, analytic_stderr: float) -> None:
+    """Warn when the analytic value lies outside the Wilson score interval
+    at 4 standard errors around the simulated frequency, widened by 4
+    standard errors of the analytic value's own Monte Carlo."""
+    lo, hi = _wilson_interval(row.simulated, row.n_iter, 4.0)
+    slack = 4.0 * analytic_stderr
+    if not lo - slack <= row.analytic <= hi + slack:
+        log.warning(
+            "simulated value %.4g more than 4 standard errors from analytic %.4g at %s=%s (%s): "
+            "Wilson score interval [%.4g, %.4g] over %d iterations, analytic standard error %.3g",
+            row.simulated,
+            row.analytic,
+            row.sweep_name,
+            row.sweep_value,
+            row.variant,
+            lo,
+            hi,
+            row.n_iter,
+            analytic_stderr,
+        )
+
+
 def run_preset(preset: ExperimentPreset) -> list:
     """Run all sweep points and variants of a preset, in deterministic order.
 
+    Each preset kind sets up its variants as the module docstring says.
+    The window, unless the preset sets one, is the widest
+    required_half_width over the variants' catalogues before ordering, at
+    the longest lifespan any point runs.
+
     Logs a warning for each row whose analytic value lies outside the
     Wilson score interval at 4 standard errors around the simulated
-    frequency of its n_iter requests.
+    frequency of its n_iter requests, widened by 4 analytic standard
+    errors.
     """
-    runner = {"validate": _run_validate, "correlation": _run_correlation, "comparison": _run_comparison}[preset.kind]
-    rows = runner(preset)
-    for r in rows:
-        lo, hi = _wilson_interval(r.simulated, r.n_iter, 4.0)
-        if not lo <= r.analytic <= hi:
-            log.warning(
-                "simulated value %.4g more than 4 standard errors from analytic %.4g at %s=%s (%s): "
-                "Wilson score interval [%.4g, %.4g] over %d iterations",
-                r.simulated,
-                r.analytic,
-                r.sweep_name,
-                r.sweep_value,
-                r.variant,
-                lo,
-                hi,
-                r.n_iter,
+    radio = _radio(preset)
+    popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
+    policy = popularity_weighted_marginals(popularity, preset.cache_capacity)
+    lifespan_law = FixedLifespan if preset.kind == "comparison" else ExponentialLifespan
+    points = _points(preset)
+    variants = _variants(preset, popularity)
+
+    def inputs_at(density, tau, catalogue):
+        return AnalyticInputs(
+            density=density,
+            radio=radio,
+            fading=ExponentialFading(1.0),
+            lifespan=lifespan_law(tau),
+            policy=policy,
+            catalogue=catalogue,
+        )
+
+    longest = max(point[-1] for point in points)
+    hw = preset.window_half_width or max(
+        required_half_width(inputs_at(preset.density, longest, base)) for _, base, _, _ in variants
+    )
+    if preset.kind == "comparison" and preset.reorder != "independent":
+        for variant, _, order, law in variants:
+            rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 1)))
+            sample = order_sizes(sample_sizes(law, preset.catalogue_size, rng), order)
+            log.info("top-5 %s sizes (Gb): %s", variant, np.array2string(sample[:5] / 1e9, precision=3, separator=", "))
+    catalogues = [apply_ordering(base, order) for _, base, order, _ in variants]
+
+    rows = []
+    for s_idx, p_idx, sweep_name, value, density, tau in points:
+        for v_idx, ((variant, _, order, law), catalogue) in enumerate(zip(variants, catalogues)):
+            with _at_point(sweep_name, value, variant):
+                inputs = inputs_at(density, tau, catalogue)
+                if law is None:
+                    analytic = total_success(inputs)
+                else:
+                    rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
+                    analytic = expected_success(inputs, law, preset.mc_samples, rng, order=order)
+                # correlation variants share one stream per sweep point: they
+                # differ only through the size permutation, so their curves
+                # are coupled
+                key = (s_idx, p_idx) if preset.kind == "correlation" else (s_idx, p_idx, v_idx)
+                config = SimulationConfig(
+                    inputs=inputs,
+                    window=Window(hw),
+                    iterations=preset.iterations,
+                    master_seed=(preset.seed, 3, *key),
+                    parallelism=preset.parallelism,
+                    size_law=law,
+                    reorder=order,
+                )
+                sim = estimate_total_success(config)
+            rows.append(
+                ResultRow(
+                    sweep_name=sweep_name,
+                    sweep_value=float(value),
+                    variant=variant,
+                    analytic=analytic.value,
+                    simulated=sim.value,
+                    stderr=sim.standard_error,
+                    n_iter=sim.sample_count,
+                    seed=preset.seed,
+                )
             )
+            _check_agreement(rows[-1], analytic.standard_error)
     return rows
+
+
+def _record(row: ResultRow) -> dict:
+    """The output record of a row: CSV_COLUMNS in order, floats as Python floats."""
+    values = {name: getattr(row, name) for name in CSV_COLUMNS}
+    return {name: float(v) if isinstance(v, float) else v for name, v in values.items()}
 
 
 def emit_results(rows, out_format: str, path) -> None:
     """Write rows as CSV or JSON with exactly the documented columns."""
     if out_format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {out_format!r}")
+    records = [_record(row) for row in rows]
     try:
-        if out_format == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(CSV_COLUMNS)
-                for row in rows:
-                    writer.writerow(
-                        [
-                            row.sweep_name,
-                            repr(float(row.sweep_value)),
-                            row.variant,
-                            repr(float(row.analytic)),
-                            repr(float(row.simulated)),
-                            repr(float(row.stderr)),
-                            row.n_iter,
-                            row.seed,
-                        ]
-                    )
-        else:
-            payload = [
-                {
-                    "sweep_name": row.sweep_name,
-                    "sweep_value": float(row.sweep_value),
-                    "variant": row.variant,
-                    "analytic": float(row.analytic),
-                    "simulated": float(row.simulated),
-                    "stderr": float(row.stderr),
-                    "n_iter": row.n_iter,
-                    "seed": row.seed,
-                }
-                for row in rows
-            ]
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                json.dump(payload, fh, indent=2)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if out_format == "csv":
+                writer = csv.DictWriter(fh, CSV_COLUMNS, lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(records)
+            else:
+                json.dump(records, fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write results to {path}: {exc}") from None

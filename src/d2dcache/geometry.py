@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,38 +27,16 @@ class Window:
         return (2.0 * self.half_width) ** 2
 
 
-@dataclass
-class PointField:
-    """A realization of transmitter locations inside a window.
-
-    points is an (n, 2) array of coordinates in meters; density is the
-    intensity (points per square meter) the field was drawn with.
-    """
-
-    points: np.ndarray
-    density: float
-    window: Window
-    distances: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        if np.any(np.abs(self.points) > self.window.half_width * (1 + 1e-12)):
-            raise ValueError("points must lie inside the window")
-        self.distances = np.hypot(self.points[:, 0], self.points[:, 1])
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def sample_ppp(density: float, window: Window, rng: np.random.Generator | None = None) -> PointField:
+def sample_ppp(density: float, window: Window, rng: np.random.Generator | None = None) -> np.ndarray:
     """Draw one homogeneous Poisson point process realization.
 
-    The point count is Poisson(density * area) and positions are i.i.d.
-    uniform over the window. With density 0 the field is empty.
+    Returns an (n, 2) array of coordinates in meters: the count n is
+    Poisson(density * area) and positions are i.i.d. uniform over the
+    window. With density 0 the array is empty. The draws are the count,
+    then the coordinates, from rng.
     """
     if not math.isfinite(density) or density < 0:
         raise ValueError(f"density must be finite and nonnegative, got {density}")
     rng = np.random.default_rng() if rng is None else rng
     n = rng.poisson(density * window.area)
-    pts = rng.uniform(-window.half_width, window.half_width, size=(n, 2))
-    return PointField(points=pts, density=density, window=window)
+    return rng.uniform(-window.half_width, window.half_width, size=(n, 2))

@@ -7,6 +7,7 @@ only if it completes within the serving transmitter's lifespan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,8 @@ class FixedLifespan:
     mean: float
 
     def __post_init__(self):
-        if self.mean <= 0:
-            raise ValueError("lifespan must be positive")
+        if not 0 < self.mean < math.inf:
+            raise ValueError("lifespan must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class ExponentialLifespan:
     mean: float
 
     def __post_init__(self):
-        if self.mean <= 0:
-            raise ValueError("mean lifespan must be positive")
+        if not 0 < self.mean < math.inf:
+            raise ValueError("mean lifespan must be finite and positive")
 
 
 LifespanLaw = FixedLifespan | ExponentialLifespan

@@ -1,38 +1,22 @@
-"""Cache placement: marginal construction and block inventory sampling.
+"""Cache placement: marginal construction and block membership sampling.
 
 A placement policy prescribes, for each object, the probability b_j that
 any given transmitter caches it, subject to sum(b) <= K cache slots. The
 sampler realizes those marginals exactly while never storing more than K
 distinct objects per node, by packing the b_j as segments on a line of
 length K (wrapping over unit rows) and intersecting the segments with a
-single uniform offset replicated once per row.
+single uniform offset replicated once per row: a node with offset u
+caches object j when membership(j, u) holds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .content import PopularityLaw
-
-
-@dataclass(frozen=True)
-class CacheInventory:
-    """The set of object indices one transmitter holds (0-based)."""
-
-    objects: frozenset
-    capacity: int
-
-    def __post_init__(self):
-        if len(self.objects) > self.capacity:
-            raise ValueError("inventory exceeds cache capacity")
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.objects
-
-    def __len__(self) -> int:
-        return len(self.objects)
 
 
 @dataclass(frozen=True)
@@ -50,9 +34,9 @@ class PlacementPolicy:
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "b", b)
-        if self.K < 1 or int(self.K) != self.K:
+        if not (1 <= self.K < math.inf and int(self.K) == self.K):
             raise ValueError("K must be a positive integer")
-        if np.any((b < 0) | (b > 1)):
+        if not np.all((b >= 0) & (b <= 1)):
             raise ValueError("marginals must lie in [0, 1]")
         if b.sum() > self.K + 1e-9:
             raise ValueError(f"sum of marginals {b.sum():.6f} exceeds capacity {self.K}")
@@ -64,10 +48,6 @@ class PlacementPolicy:
     def membership(self, j: int, u) -> np.ndarray:
         """Whether object j is cached for each uniform draw in u."""
         return (np.asarray(u) - self._starts[j]) % 1.0 < self.b[j]
-
-    def inventory_indices(self, u: float) -> np.ndarray:
-        """All object indices selected by the uniform draw u."""
-        return np.nonzero((u - self._starts) % 1.0 < self.b)[0]
 
     def to_csv(self, path, popularity: PopularityLaw) -> None:
         """Write (index, popularity, marginal) rows; index is the 1-based rank."""
@@ -92,9 +72,3 @@ def popularity_weighted_marginals(popularity: PopularityLaw, K: int) -> Placemen
     b[: 2 * K] = np.minimum(K * head / head.sum(), 1.0)
     return PlacementPolicy(b=b, K=K)
 
-
-def sample_inventory(policy: PlacementPolicy, rng: np.random.Generator | None = None) -> CacheInventory:
-    """Draw one cache inventory; marginals are hit exactly and |inventory| <= K."""
-    rng = np.random.default_rng() if rng is None else rng
-    u = rng.random()
-    return CacheInventory(objects=frozenset(policy.inventory_indices(u).tolist()), capacity=policy.K)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .analytics import AnalyticInputs, MetricEstimate, coverage_radius_scale
 from .channel import RadioParams, sample_fading
-from .content import SizeLaw
-from .geometry import Window
+from .content import ORDERING_MODES, SizeLaw, order_sizes
+from .geometry import Window, sample_ppp
 from .mobility import sample_lifespan
 
 _LN2 = math.log(2.0)
@@ -37,8 +37,9 @@ class SimulationConfig:
     """A complete, seeded simulation setup.
 
     size_law, when set, redraws the catalogue's sizes from the law on
-    every iteration (optionally re-sorted per reorder), which turns the
-    estimate into an expectation over file-size realizations as well.
+    every iteration and assigns them to popularity ranks per reorder (one
+    of content.ORDERING_MODES), which turns the estimate into an
+    expectation over file-size realizations as well.
     """
 
     inputs: AnalyticInputs
@@ -47,15 +48,15 @@ class SimulationConfig:
     master_seed: int | tuple = 0
     parallelism: int = 1
     size_law: SizeLaw | None = None
-    reorder: str | None = None
+    reorder: str = "independent"
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
-        if self.reorder is not None and self.reorder not in ("increasing", "decreasing"):
-            raise ValueError("reorder must be None, 'increasing' or 'decreasing'")
+        if self.reorder not in ORDERING_MODES:
+            raise ValueError(f"unknown ordering mode {self.reorder!r}; expected one of {ORDERING_MODES}")
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,8 @@ def _iteration_rng(master_seed, index: int) -> np.random.Generator:
 def _draw_sizes(config: SimulationConfig, rng: np.random.Generator) -> np.ndarray:
     if config.size_law is None:
         return config.inputs.catalogue.sizes
-    z = np.asarray(config.size_law.inverse_cdf(rng.random(config.inputs.catalogue.F)))
-    if config.reorder == "increasing":
-        z = np.sort(z)
-    elif config.reorder == "decreasing":
-        z = np.sort(z)[::-1]
-    return z
+    z = config.size_law.inverse_cdf(rng.random(config.inputs.catalogue.F))
+    return order_sizes(np.asarray(z), config.reorder)
 
 
 def _draw_iteration(config: SimulationConfig, rng: np.random.Generator, pinned_object: int | None) -> _IterationDraws:
@@ -114,11 +111,9 @@ def _draw_iteration(config: SimulationConfig, rng: np.random.Generator, pinned_o
     else:
         j = pinned_object
     sizes = _draw_sizes(config, rng)
-    hw = config.window.half_width
-    n = rng.poisson(inputs.density * config.window.area)
-    pos = rng.uniform(-hw, hw, size=(n, 2))
+    pos = sample_ppp(inputs.density, config.window, rng)
     dist = np.hypot(pos[:, 0], pos[:, 1])
-    cached = inputs.policy.membership(j, rng.random(n))
+    cached = inputs.policy.membership(j, rng.random(dist.size))
     m = int(cached.sum())
     h = np.asarray(sample_fading(inputs.fading, rng, size=m))
     tau = np.asarray(sample_lifespan(inputs.lifespan, rng, size=m))

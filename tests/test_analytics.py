@@ -384,6 +384,28 @@ def test_expected_success_tracks_direct_average():
     assert abs(est.value - direct.mean()) < 3 * math.hypot(se, est.standard_error)
 
 
+@pytest.mark.parametrize("mc_samples", [5000, 30_000])
+@pytest.mark.parametrize("lifespan", [FixedLifespan(500.0), ExponentialLifespan(500.0)], ids=["fixed", "exponential"])
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_ordered_expectation_matches_sorted_catalogue_draws(order, lifespan, mc_samples):
+    # oracle: from the same generator state, draw each catalogue row by
+    # row, sort it by hand and average total_success over the draws
+    inputs = make_inputs(lifespan=lifespan)
+    law = UniformSize(5e7, 2e9)
+    est = expected_success(inputs, law, mc_samples=mc_samples, rng=rng_for(6), order=order)
+    draws = max(200, mc_samples // 100)
+    rng = rng_for(6)
+    direct = []
+    for _ in range(draws):
+        sizes = np.sort(law.inverse_cdf(rng.random(100)))
+        sizes = sizes if order == "increasing" else sizes[::-1]
+        catalogue = ContentCatalogue(popularity=inputs.catalogue.popularity, sizes=sizes, ordering_mode=order)
+        direct.append(total_success(replace(inputs, catalogue=catalogue)).value)
+    assert est.sample_count == draws
+    assert est.value == pytest.approx(math.fsum(direct) / draws, rel=1e-12)
+    assert est.standard_error == pytest.approx(np.std(direct, ddof=1) / math.sqrt(draws), rel=1e-9)
+
+
 # ------------------------------------------------------- coverage scale
 
 

@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.special import gamma as gamma_fn
 
 from d2dcache import (
+    ORDERING_MODES,
     ContentCatalogue,
     ExponentialSize,
     LogNormalSize,
@@ -15,6 +16,7 @@ from d2dcache import (
     WeibullSize,
     apply_ordering,
     mean_size,
+    order_sizes,
     sample_sizes,
     zipf_popularity,
 )
@@ -159,8 +161,8 @@ def test_inverse_cdf_monotone_for_common_random_numbers():
 def test_apply_ordering_reference_permutations():
     pop = zipf_popularity(3, 1.0)
     cat = ContentCatalogue(popularity=pop, sizes=np.array([3.0, 1.0, 2.0]))
-    inc = apply_ordering(cat, "increasing_with_popularity_index")
-    dec = apply_ordering(cat, "decreasing_with_popularity_index")
+    inc = apply_ordering(cat, "increasing")
+    dec = apply_ordering(cat, "decreasing")
     ind = apply_ordering(cat, "independent")
     np.testing.assert_allclose(inc.sizes, [1.0, 2.0, 3.0])
     np.testing.assert_allclose(dec.sizes, [3.0, 2.0, 1.0])
@@ -172,10 +174,20 @@ def test_apply_ordering_preserves_multiset():
     pop = zipf_popularity(50, 0.78)
     sizes = sample_sizes(VIDEO_LAWS["weibull"], 50, rng_for(7))
     cat = ContentCatalogue(popularity=pop, sizes=sizes)
-    for mode in ("independent", "increasing_with_popularity_index", "decreasing_with_popularity_index"):
+    for mode in ("independent", "increasing", "decreasing"):
         out = apply_ordering(cat, mode)
         np.testing.assert_allclose(np.sort(out.sizes), np.sort(sizes))
         assert out.ordering_mode == mode
+
+
+def test_order_sizes_sorts_each_row():
+    z = np.array([[3.0, 1.0, 2.0], [5.0, 6.0, 4.0]])
+    np.testing.assert_array_equal(order_sizes(z, "increasing"), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    np.testing.assert_array_equal(order_sizes(z, "decreasing"), [[3.0, 2.0, 1.0], [6.0, 5.0, 4.0]])
+    assert order_sizes(z, "independent") is z
+    assert ORDERING_MODES == ("independent", "increasing", "decreasing")
+    with pytest.raises(ValueError, match="ordering mode"):
+        order_sizes(z, "shuffled")
 
 
 def test_apply_ordering_rejects_unknown_mode():
@@ -193,11 +205,11 @@ def test_catalogue_validates_sizes_and_ordering():
         ContentCatalogue(popularity=pop, sizes=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ContentCatalogue(
-            popularity=pop, sizes=np.array([3.0, 1.0, 2.0]), ordering_mode="increasing_with_popularity_index"
+            popularity=pop, sizes=np.array([3.0, 1.0, 2.0]), ordering_mode="increasing"
         )
     with pytest.raises(ValueError):
         ContentCatalogue(
-            popularity=pop, sizes=np.array([1.0, 3.0, 2.0]), ordering_mode="decreasing_with_popularity_index"
+            popularity=pop, sizes=np.array([1.0, 3.0, 2.0]), ordering_mode="decreasing"
         )
 
 

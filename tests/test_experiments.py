@@ -7,15 +7,28 @@ from dataclasses import replace
 import pytest
 
 import d2dcache.experiments as experiments
+import numpy as np
+
 from d2dcache import (
+    AnalyticInputs,
     ConfigError,
+    ContentCatalogue,
+    ExponentialFading,
+    ExponentialLifespan,
+    ExponentialSize,
+    FixedLifespan,
     MetricEstimate,
     PRESET_NAMES,
     ResultRow,
     build_preset,
     emit_results,
     load_config,
+    mean_size,
+    popularity_weighted_marginals,
+    required_half_width,
     run_preset,
+    sample_sizes,
+    zipf_popularity,
 )
 from d2dcache.experiments import _at_point
 
@@ -87,7 +100,7 @@ def test_ordered_comparison_uses_bigger_catalogue():
     assert ordered.catalogue_size == 200
     assert ordered.reorder == "decreasing"
     assert plain.catalogue_size == 100
-    assert plain.reorder is None
+    assert plain.reorder == "independent"
     assert plain.variants == ("uniform", "exponential", "pareto", "lognormal", "weibull")
 
 
@@ -257,7 +270,7 @@ def test_soft_gate_warns_on_large_deviation(monkeypatch, caplog):
 
 
 def _flagged(monkeypatch, caplog, analytic, simulated, iterations):
-    """Whether run_preset warns about one row with these values."""
+    """Whether run_preset warns about one validate row with these values."""
     monkeypatch.setattr(experiments, "total_success", lambda inputs: MetricEstimate(value=analytic))
     monkeypatch.setattr(
         experiments,
@@ -285,13 +298,52 @@ def test_flag_spares_small_samples_inside_wilson_interval(monkeypatch, caplog):
     assert not _flagged(monkeypatch, caplog, analytic=0.3, simulated=0.05, iterations=20)
 
 
+def _comparison_flagged(monkeypatch, caplog, analytic, analytic_stderr):
+    """Whether run_preset warns about one comparison row whose simulated
+    frequency is 100/2000 and whose expected success carries this error."""
+    monkeypatch.setattr(
+        experiments,
+        "expected_success",
+        lambda *a, **kw: MetricEstimate(value=analytic, standard_error=analytic_stderr, sample_count=1000),
+    )
+    monkeypatch.setattr(
+        experiments,
+        "estimate_total_success",
+        lambda config: MetricEstimate(value=0.05, standard_error=math.sqrt(0.05 * 0.95 / 2000), sample_count=2000),
+    )
+    preset = replace(
+        build_preset("expected_comparison", iterations=2000, mc_samples=1000),
+        sweeps=(("tau_mean", (1000.0,)),),
+        variants=("uniform",),
+    )
+    with caplog.at_level(logging.WARNING, logger="d2dcache.experiments"):
+        run_preset(preset)
+    return any("standard errors from analytic" in rec.message for rec in caplog.records)
+
+
+def test_flag_widened_by_analytic_standard_error(monkeypatch, caplog):
+    # the Wilson interval at 4 standard errors around 0.05 over 2000
+    # requests ends near 0.0733; 4 analytic standard errors of 0.002 move
+    # that end to 0.0813, past the analytic value 0.08
+    assert not _comparison_flagged(monkeypatch, caplog, analytic=0.08, analytic_stderr=0.002)
+
+
+def test_flag_with_exact_analytic_value(monkeypatch, caplog):
+    # the same row with a closed form that carries no Monte Carlo error
+    assert _comparison_flagged(monkeypatch, caplog, analytic=0.08, analytic_stderr=0.0)
+
+
 def test_ordered_comparison_logs_top_sizes(monkeypatch, caplog):
     monkeypatch.setattr(
         experiments,
         "estimate_total_success",
         lambda config: MetricEstimate(value=0.5, standard_error=0.01, sample_count=100),
     )
-    monkeypatch.setattr(experiments, "_ordered_expected", lambda *a, **kw: (0.5, 0.01))
+    monkeypatch.setattr(
+        experiments,
+        "expected_success",
+        lambda *a, **kw: MetricEstimate(value=0.5, standard_error=0.01, sample_count=200),
+    )
     preset = replace(
         build_preset("ordered_comparison", iterations=1),
         sweeps=(("tau_mean", (1000.0,)),),
@@ -303,6 +355,81 @@ def test_ordered_comparison_logs_top_sizes(monkeypatch, caplog):
     logged = [rec.getMessage() for rec in caplog.records if "top-5" in rec.message]
     assert any("uniform" in msg for msg in logged)
     assert any("weibull" in msg for msg in logged)
+
+
+# ------------------------------------------------------------- seed contract
+
+
+def _simulator_calls(monkeypatch, preset):
+    """run_preset with the simulator stubbed out: (master seed, window
+    half-width, reorder, size law) of each simulated point, in order."""
+    calls = []
+
+    def record(config):
+        calls.append((config.master_seed, config.window.half_width, config.reorder, config.size_law))
+        return MetricEstimate(value=0.5, standard_error=0.1, sample_count=config.iterations)
+
+    monkeypatch.setattr(experiments, "estimate_total_success", record)
+    run_preset(preset)
+    return calls
+
+
+def _window(preset, lifespan, sizes):
+    """required_half_width of the preset's catalogue with these sizes in drawn order."""
+    popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
+    inputs = AnalyticInputs(
+        density=preset.density,
+        radio=experiments._radio(preset),
+        fading=ExponentialFading(1.0),
+        lifespan=lifespan,
+        policy=popularity_weighted_marginals(popularity, preset.cache_capacity),
+        catalogue=ContentCatalogue(popularity=popularity, sizes=sizes),
+    )
+    return required_half_width(inputs)
+
+
+def _catalogue_sizes(preset):
+    rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 1)))
+    return sample_sizes(ExponentialSize(1.0 / preset.size_mean_bits), preset.catalogue_size, rng)
+
+
+@pytest.mark.parametrize("name", ["validate_audio", "validate_video"])
+def test_validate_seed_keys_and_window(monkeypatch, name):
+    grid = build_preset(name).sweeps[0][1]
+    preset = build_preset(name, seed=4, iterations=1, tau_grid=(grid[0], grid[4], grid[-1]))
+    calls = _simulator_calls(monkeypatch, preset)
+    assert [c[0] for c in calls] == [(4, 3, 0, p, 0) for p in range(3)]
+    window = _window(preset, ExponentialLifespan(grid[-1]), _catalogue_sizes(preset))
+    assert all(c[1:] == (window, "independent", None) for c in calls)
+
+
+def test_correlation_variants_share_seed_keys(monkeypatch):
+    preset = build_preset("correlation_video", seed=1, iterations=1, tau_grid=(100.0, 1000.0))
+    calls = _simulator_calls(monkeypatch, preset)
+    orders = ("increasing", "independent", "decreasing")
+    assert [(c[0], c[2]) for c in calls] == [((1, 3, 0, p), v) for p in range(2) for v in orders]
+    # sized from the catalogue before ordering, whatever the variant
+    window = _window(preset, ExponentialLifespan(1000.0), _catalogue_sizes(preset))
+    assert all(c[1] == window and c[3] is None for c in calls)
+
+
+@pytest.mark.parametrize("name", ["expected_comparison", "ordered_comparison"])
+def test_comparison_seed_keys_and_window(monkeypatch, name):
+    # the longest lifespan is the density sweep's fixed 1000 s, not the
+    # tau sweep's 500 s
+    preset = replace(
+        build_preset(name, seed=2, iterations=1, mc_samples=1000),
+        sweeps=(("tau_mean", (100.0, 500.0)), ("density", (1e-4, 1e-2))),
+    )
+    calls = _simulator_calls(monkeypatch, preset)
+    laws = [experiments.COMPARISON_SIZE_LAWS[v] for v in preset.variants]
+    assert [(c[0], c[3]) for c in calls] == [
+        ((2, 3, s, p, v), law) for s in range(2) for p in range(2) for v, law in enumerate(laws)
+    ]
+    window = max(
+        _window(preset, FixedLifespan(1000.0), np.full(preset.catalogue_size, mean_size(law))) for law in laws
+    )
+    assert all(c[1] == window and c[2] == preset.reorder for c in calls)
 
 
 def test_at_point_annotates_errors():

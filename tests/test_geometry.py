@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from d2dcache import PointField, Window, sample_ppp
+from d2dcache import SimulationConfig, Window, sample_ppp
+from d2dcache.simulator import _draw_iteration, _iteration_rng
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -17,10 +18,14 @@ def test_window_requires_positive_half_width():
     assert Window(250.0).area == pytest.approx(500.0**2)
 
 
+def distances(points):
+    return np.hypot(points[:, 0], points[:, 1])
+
+
 def test_zero_density_gives_empty_field():
-    field = sample_ppp(0.0, Window(1000.0), rng_for(0))
-    assert field.points.shape == (0, 2)
-    assert field.distances.size == 0
+    points = sample_ppp(0.0, Window(1000.0), rng_for(0))
+    assert points.shape == (0, 2)
+    assert distances(points).size == 0
 
 
 def test_negative_or_nonfinite_density_rejected():
@@ -29,20 +34,15 @@ def test_negative_or_nonfinite_density_rejected():
             sample_ppp(bad, Window(100.0), rng_for(1))
 
 
-def test_points_outside_window_rejected():
-    with pytest.raises(ValueError):
-        PointField(points=np.array([[150.0, 0.0]]), density=1e-3, window=Window(100.0))
-
-
 def test_mean_count_matches_intensity_on_reference_window():
     # 100 km x 100 km at 2.5e-3 per m^2: expected 2.5e7 points per draw
     window = Window(50_000.0)
     rng = rng_for(2)
     counts = []
     for _ in range(5):
-        field = sample_ppp(2.5e-3, window, rng)
-        counts.append(field.points.shape[0])
-        del field
+        points = sample_ppp(2.5e-3, window, rng)
+        counts.append(points.shape[0])
+        del points
     expected = 2.5e-3 * window.area
     se = np.sqrt(expected / len(counts))
     assert abs(np.mean(counts) - expected) < 3 * se
@@ -52,7 +52,7 @@ def test_count_mean_and_variance_within_5_percent():
     window = Window(500.0)
     density = 2.5e-3
     rng = rng_for(3)
-    counts = np.array([sample_ppp(density, window, rng).points.shape[0] for _ in range(4000)])
+    counts = np.array([sample_ppp(density, window, rng).shape[0] for _ in range(4000)])
     expected = density * window.area
     assert abs(counts.mean() - expected) < 0.05 * expected
     assert abs(counts.var(ddof=1) - expected) < 0.05 * expected
@@ -64,8 +64,7 @@ def test_nearest_point_distance_mean():
     rng = rng_for(4)
     nearest = []
     for _ in range(2000):
-        field = sample_ppp(density, Window(400.0), rng)
-        nearest.append(field.distances.min())
+        nearest.append(distances(sample_ppp(density, Window(400.0), rng)).min())
     nearest = np.array(nearest)
     target = 1.0 / (2.0 * np.sqrt(density))
     se = nearest.std(ddof=1) / np.sqrt(nearest.size)
@@ -74,7 +73,7 @@ def test_nearest_point_distance_mean():
 
 def test_positions_uniform_over_quadrants():
     rng = rng_for(5)
-    pooled = np.concatenate([sample_ppp(1e-3, Window(300.0), rng).points for _ in range(50)])
+    pooled = np.concatenate([sample_ppp(1e-3, Window(300.0), rng) for _ in range(50)])
     quadrant = (pooled[:, 0] > 0).astype(int) * 2 + (pooled[:, 1] > 0).astype(int)
     observed = np.bincount(quadrant, minlength=4)
     _, p_value = stats.chisquare(observed)
@@ -84,11 +83,16 @@ def test_positions_uniform_over_quadrants():
 def test_sampling_deterministic_given_stream():
     a = sample_ppp(1e-3, Window(500.0), rng_for(6))
     b = sample_ppp(1e-3, Window(500.0), rng_for(6))
-    np.testing.assert_array_equal(a.points, b.points)
-    np.testing.assert_array_equal(a.distances, b.distances)
+    np.testing.assert_array_equal(a, b)
 
 
-def test_distances_consistent_with_points():
-    field = sample_ppp(1e-3, Window(500.0), rng_for(7))
-    np.testing.assert_allclose(field.distances, np.hypot(field.points[:, 0], field.points[:, 1]))
-    assert np.all(np.abs(field.points) <= 500.0)
+def test_distances_consistent_with_points(video_inputs):
+    points = sample_ppp(1e-3, Window(500.0), rng_for(7))
+    assert np.all(np.abs(points) <= 500.0)
+    # the simulator's transmitter distances are those of sample_ppp's
+    # field, drawn from the iteration stream right after the request
+    config = SimulationConfig(inputs=video_inputs, window=Window(300.0), iterations=1, master_seed=7)
+    draws = _draw_iteration(config, _iteration_rng(7, 0), None)
+    rng = _iteration_rng(7, 0)
+    rng.random()
+    np.testing.assert_array_equal(draws.distances, distances(sample_ppp(video_inputs.density, config.window, rng)))

@@ -4,13 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from d2dcache import (
-    CacheInventory,
-    PlacementPolicy,
-    popularity_weighted_marginals,
-    sample_inventory,
-    zipf_popularity,
-)
+from d2dcache import PlacementPolicy, popularity_weighted_marginals, zipf_popularity
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -69,15 +63,17 @@ def test_policy_validation():
 # ---------------------------------------------------------------- sampling
 
 
+def inventories(policy, u):
+    """Cache contents of one node per uniform offset in u: rows are objects, columns nodes."""
+    return np.stack([policy.membership(j, u) for j in range(policy.b.size)])
+
+
 def test_single_slot_marginals_are_categorical():
     policy = PlacementPolicy(b=np.array([0.6, 0.4]), K=1)
-    rng = rng_for(0)
     n = 100_000
-    counts = np.zeros(2)
-    for _ in range(n):
-        inv = sample_inventory(policy, rng)
-        assert len(inv) == 1
-        counts[next(iter(inv.objects))] += 1
+    held = inventories(policy, rng_for(0).random(n))
+    assert np.all(held.sum(axis=0) == 1)
+    counts = held.sum(axis=1)
     for j, target in enumerate((0.6, 0.4)):
         se = math.sqrt(target * (1 - target) / n)
         assert abs(counts[j] / n - target) < 3 * se
@@ -85,10 +81,8 @@ def test_single_slot_marginals_are_categorical():
 
 def test_deterministic_marginals_fix_the_inventory():
     policy = PlacementPolicy(b=np.array([1.0, 0.0, 1.0, 0.0, 1.0]), K=3)
-    rng = rng_for(1)
-    for _ in range(200):
-        inv = sample_inventory(policy, rng)
-        assert inv.objects == frozenset({0, 2, 4})
+    held = inventories(policy, rng_for(1).random(200))
+    assert np.all(held == np.array([True, False, True, False, True])[:, None])
 
 
 def test_membership_marginals_and_capacity_vectorized():
@@ -113,24 +107,13 @@ def test_membership_marginals_and_capacity_vectorized():
 def test_sampled_inventories_respect_capacity_and_marginals():
     pop = zipf_popularity(50, 1.2)
     policy = popularity_weighted_marginals(pop, 4)
-    rng = rng_for(3)
     n = 10_000
-    counts = np.zeros(50)
-    for _ in range(n):
-        inv = sample_inventory(policy, rng)
-        assert len(inv) <= 4
-        for j in inv.objects:
-            counts[j] += 1
+    held = inventories(policy, rng_for(3).random(n))
+    assert held.sum(axis=0).max() <= 4
+    counts = held.sum(axis=1)
     for j in range(8):
         se = math.sqrt(policy.b[j] * (1 - policy.b[j]) / n)
         assert abs(counts[j] / n - policy.b[j]) < 4 * se + 1e-12
-
-
-def test_inventory_validates_capacity():
-    with pytest.raises(ValueError):
-        CacheInventory(objects=frozenset({0, 1, 2}), capacity=2)
-    inv = CacheInventory(objects=frozenset({3, 7}), capacity=2)
-    assert 3 in inv and 7 in inv and 5 not in inv
 
 
 def test_policy_csv_round_trip(tmp_path):

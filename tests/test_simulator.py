@@ -158,7 +158,7 @@ def test_popular_small_files_served_more_often():
     inputs = replace(
         small_inputs(tau_mean=100.0),
         catalogue=ContentCatalogue(
-            popularity=pop, sizes=sizes, ordering_mode="increasing_with_popularity_index"
+            popularity=pop, sizes=sizes, ordering_mode="increasing"
         ),
     )
     config = make_config(inputs, iterations=1200, seed=8)
@@ -210,7 +210,7 @@ def test_resampled_sizes_follow_the_law_each_iteration():
     draws = _draw_iteration(config, rng, None)
     # sizes drawn fresh (not the catalogue constant) and sorted descending
     assert draws.size_bits != 1e7
-    plain = replace(config, reorder=None)
+    plain = replace(config, reorder="independent")
     rng = _iteration_rng(config.master_seed, 3)
     draws_plain = _draw_iteration(plain, rng, None)
     assert draws_plain.requested == draws.requested

@@ -1,0 +1,139 @@
+"""Property tests: every validator accepts only finite numbers.
+
+For each numeric field of each model dataclass (and each numeric INI key
+of a config file), any float is either rejected with ValueError
+(ConfigError for presets and config files) or was finite. NaN and +-inf
+are always among the examples tried, because comparisons with NaN are
+false and so slip past a plain range check.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import d2dcache.experiments as experiments
+from d2dcache import (
+    AnalyticInputs,
+    ConfigError,
+    ContentCatalogue,
+    ExponentialFading,
+    ExponentialLifespan,
+    ExponentialSize,
+    FixedLifespan,
+    LogNormalFading,
+    LogNormalSize,
+    MetricEstimate,
+    NakagamiFading,
+    ParetoSize,
+    PlacementPolicy,
+    RadioParams,
+    RiceFading,
+    UniformSize,
+    WeibullFading,
+    WeibullSize,
+    Window,
+    build_preset,
+    fading_moment,
+    load_config,
+    popularity_weighted_marginals,
+    zipf_popularity,
+)
+
+
+def _inputs(density):
+    popularity = zipf_popularity(10, 0.78)
+    return AnalyticInputs(
+        density=density,
+        radio=RadioParams(power=0.5, noise=5e-5, bandwidth=5e6, pathloss_exponent=4.0),
+        fading=ExponentialFading(1.0),
+        lifespan=FixedLifespan(100.0),
+        policy=popularity_weighted_marginals(popularity, 2),
+        catalogue=ContentCatalogue(popularity=popularity, sizes=np.full(10, 1e9)),
+    )
+
+
+# constructor and a valid keyword set; each keyword is varied on its own
+CONSTRUCTORS = {
+    "RadioParams": (RadioParams, dict(power=0.5, noise=5e-5, bandwidth=5e6, pathloss_exponent=4.0)),
+    "ExponentialFading": (ExponentialFading, dict(rate=1.0)),
+    "LogNormalFading": (LogNormalFading, dict(mu=0.0, sigma=1.0)),
+    "WeibullFading": (WeibullFading, dict(scale=1.0, shape=1.5)),
+    "NakagamiFading": (NakagamiFading, dict(m=2.0, omega=1.0)),
+    "RiceFading": (RiceFading, dict(nu=1.0, sigma=0.5)),
+    "fading_moment": (lambda alpha: fading_moment(ExponentialFading(1.0), alpha), dict(alpha=4.0)),
+    "FixedLifespan": (FixedLifespan, dict(mean=100.0)),
+    "ExponentialLifespan": (ExponentialLifespan, dict(mean=100.0)),
+    "UniformSize": (UniformSize, dict(z_min=1e8, z_max=2e9)),
+    "ExponentialSize": (ExponentialSize, dict(rate=1e-9)),
+    "ParetoSize": (ParetoSize, dict(shape=1.5, scale=5e7)),
+    "WeibullSize": (WeibullSize, dict(scale=276.0, shape=0.1)),
+    "LogNormalSize": (LogNormalSize, dict(mu=20.0, sigma=4.0, z_min=1e8, z_max=5e9)),
+    "zipf_popularity": (lambda gamma: zipf_popularity(100, gamma), dict(gamma=0.78)),
+    "ContentCatalogue": (
+        lambda size: ContentCatalogue(popularity=zipf_popularity(3, 1.0), sizes=[1e9, size, 2e9]),
+        dict(size=1.5e9),
+    ),
+    "PlacementPolicy": (lambda b0, K: PlacementPolicy(b=[b0, 0.5], K=K), dict(b0=0.5, K=1)),
+    "Window": (Window, dict(half_width=500.0)),
+    "AnalyticInputs": (_inputs, dict(density=2.5e-3)),
+    "MetricEstimate": (MetricEstimate, dict(value=0.5, standard_error=0.01)),
+}
+
+FIELDS = [(name, key) for name, (_, kwargs) in CONSTRUCTORS.items() for key in kwargs]
+
+
+@pytest.mark.parametrize("name,key", FIELDS)
+@settings(max_examples=12, deadline=None)
+@given(value=st.floats())
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+def test_dataclass_fields_accept_only_finite_values(name, key, value):
+    build, kwargs = CONSTRUCTORS[name]
+    try:
+        build(**{**kwargs, key: value})
+    except ValueError:
+        return
+    assert math.isfinite(value), f"{name}({key}={value!r}) was accepted"
+
+
+# preset overrides that a config file cannot express
+PRESET_OVERRIDES = {
+    "fixed_lifespan": lambda value: dict(fixed_lifespan=value),
+    "tau_grid": lambda value: dict(tau_grid=(10.0, value)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRESET_OVERRIDES))
+@settings(max_examples=12, deadline=None)
+@given(value=st.floats())
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+def test_preset_overrides_accept_only_finite_values(key, value):
+    try:
+        build_preset("validate_audio", **PRESET_OVERRIDES[key](value))
+    except ConfigError:
+        return
+    assert math.isfinite(value), f"build_preset({key}) with {value!r} was accepted"
+
+
+NUMERIC_KEYS = [key for key, parse in experiments._OVERRIDE_TYPES.items() if parse is not str]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@settings(max_examples=12, deadline=None)
+@given(value=st.floats())
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+def test_ini_keys_accept_only_finite_values(tmp_path_factory, key, value):
+    path = tmp_path_factory.mktemp("ini") / "run.ini"
+    path.write_text(f"[validate_audio]\n{key} = {value!r}\n")
+    try:
+        load_config(path)
+    except ConfigError:
+        return
+    assert math.isfinite(value), f"{key} = {value!r} was accepted"
