@@ -26,9 +26,8 @@ from .channel import (
     RiceFading,
     WeibullFading,
     fading_moment,
-    rate,
+    link_bits,
     sample_fading,
-    snr,
 )
 from .content import (
     ORDERING_MODES,
@@ -53,19 +52,13 @@ from .experiments import (
     build_preset,
     emit_results,
     load_config,
+    required_half_width,
     run_preset,
 )
-from .geometry import Window, sample_ppp
+from .geometry import Window, sample_disc
 from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
 from .placement import PlacementPolicy, popularity_weighted_marginals
-from .simulator import (
-    SimulationConfig,
-    ServiceOutcome,
-    estimate_per_object_success,
-    estimate_total_success,
-    required_half_width,
-    run_iteration,
-)
+from .simulator import SimulationConfig, estimate_per_object_success, estimate_total_success
 
 __version__ = "0.1.0"
 
@@ -90,7 +83,6 @@ __all__ = [
     "RadioParams",
     "ResultRow",
     "RiceFading",
-    "ServiceOutcome",
     "SimulationConfig",
     "UniformSize",
     "WeibullFading",
@@ -107,20 +99,18 @@ __all__ = [
     "lifespan_moment",
     "lifespan_moment_exponential",
     "lifespan_moment_fixed",
+    "link_bits",
     "load_config",
     "mean_size",
     "order_sizes",
     "per_object_success",
     "popularity_weighted_marginals",
-    "rate",
     "required_half_width",
-    "run_iteration",
     "run_preset",
     "sample_fading",
+    "sample_disc",
     "sample_lifespan",
-    "sample_ppp",
     "sample_sizes",
-    "snr",
     "total_success",
     "zipf_popularity",
 ]

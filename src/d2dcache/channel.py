@@ -1,4 +1,4 @@
-"""Radio link model: fading laws, SNR, Shannon rate and fading moments.
+"""Radio link model: fading laws, the link budget and fading moments.
 
 The link budget is intentionally minimal: a transmit power, a receiver
 noise power, a power-law path loss and a multiplicative fading variable H.
@@ -110,24 +110,21 @@ def sample_fading(law: FadingLaw, rng: np.random.Generator | None = None, size=N
     raise TypeError(f"unknown fading law {law!r}")
 
 
-def snr(params: RadioParams, h, r):
-    """Signal-to-noise ratio power * h * r^(-alpha) / noise.
+def link_bits(params: RadioParams, h, r, tau):
+    """Bits a link moves within its lifespan at the Shannon rate.
 
-    r is the transmitter-receiver distance in meters and must be positive;
-    the power-law path loss is singular at r = 0.
+    tau * W * log2(1 + P * h * r^(-alpha) / N) for fading h >= 0, distance
+    r > 0 in meters (the power-law path loss is singular at 0) and lifespan
+    tau >= 0 in seconds, broadcast together. A file of z bits is delivered
+    when this is at least z.
     """
-    r = np.asarray(r, dtype=float)
+    h, r, tau = (np.asarray(v, dtype=float) for v in (h, r, tau))
     if np.any(r <= 0):
         raise ValueError("distance must be positive (path loss singular at 0)")
-    return params.power * np.asarray(h) * r ** (-params.pathloss_exponent) / params.noise
-
-
-def rate(params: RadioParams, snr_value):
-    """Shannon rate bandwidth * log2(1 + snr) in bits/second."""
-    snr_value = np.asarray(snr_value, dtype=float)
-    if np.any(snr_value < 0):
-        raise ValueError("snr must be nonnegative")
-    return params.bandwidth * np.log2(1.0 + snr_value)
+    if np.any(h < 0) or np.any(tau < 0):
+        raise ValueError("fading and lifespan must be nonnegative")
+    gain = params.power * h * r ** (-params.pathloss_exponent) / params.noise
+    return tau * params.bandwidth * np.log1p(gain) / math.log(2.0)
 
 
 def _density(law: FadingLaw):

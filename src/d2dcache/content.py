@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, ndtr, ndtri
+from scipy.special import gamma as gamma_fn, ndtri
 
 # How sizes are assigned to popularity ranks: as drawn, or sorted so that
 # size increases (decreases) from the most popular object down.
@@ -105,26 +105,14 @@ class WeibullSize:
 
 @dataclass(frozen=True)
 class LogNormalSize:
-    """Log-normal size law, optionally clamped to [z_min, z_max] by rejection."""
-
     mu: float
     sigma: float
-    z_min: float | None = None
-    z_max: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
             raise ValueError("mu must be finite and sigma finite and positive")
-        if self.truncated and not 0 < self.z_min < self.z_max < math.inf:
-            raise ValueError("need 0 < z_min < z_max < inf when truncating")
-
-    @property
-    def truncated(self) -> bool:
-        return self.z_min is not None or self.z_max is not None
 
     def inverse_cdf(self, u):
-        if self.truncated:
-            raise ValueError("truncated log-normal has no simple inverse CDF; use sample_sizes")
         return np.exp(self.mu + self.sigma * ndtri(_clip_unit(u)))
 
 
@@ -132,20 +120,8 @@ SizeLaw = UniformSize | ExponentialSize | ParetoSize | WeibullSize | LogNormalSi
 
 
 def sample_sizes(law: SizeLaw, F: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw F i.i.d. sizes via the law's inverse CDF (rejection if truncated)."""
+    """Draw F i.i.d. sizes via the law's inverse CDF."""
     rng = np.random.default_rng() if rng is None else rng
-    if isinstance(law, LogNormalSize) and law.truncated:
-        lo = law.z_min if law.z_min is not None else 0.0
-        hi = law.z_max if law.z_max is not None else math.inf
-        out = np.empty(F)
-        filled = 0
-        while filled < F:
-            z = np.exp(law.mu + law.sigma * rng.standard_normal(F))
-            z = z[(z >= lo) & (z <= hi)]
-            take = min(F - filled, z.size)
-            out[filled : filled + take] = z[:take]
-            filled += take
-        return out
     return law.inverse_cdf(rng.random(F))
 
 
@@ -162,16 +138,7 @@ def mean_size(law: SizeLaw) -> float:
     if isinstance(law, WeibullSize):
         return law.scale * gamma_fn(1.0 + 1.0 / law.shape)
     if isinstance(law, LogNormalSize):
-        full = math.exp(law.mu + 0.5 * law.sigma**2)
-        if not law.truncated:
-            return full
-        lo = law.z_min if law.z_min is not None else 0.0
-        hi = law.z_max if law.z_max is not None else math.inf
-        lo_t = (math.log(lo) - law.mu) / law.sigma if lo > 0 else -math.inf
-        hi_t = (math.log(hi) - law.mu) / law.sigma if math.isfinite(hi) else math.inf
-        mass = ndtr(hi_t) - ndtr(lo_t)
-        shifted = ndtr(hi_t - law.sigma) - ndtr(lo_t - law.sigma)
-        return full * shifted / mass
+        return math.exp(law.mu + 0.5 * law.sigma**2)
     raise TypeError(f"unknown size law {law!r}")
 
 
@@ -201,13 +168,6 @@ class ContentCatalogue:
     @property
     def F(self) -> int:
         return self.popularity.F
-
-    def to_csv(self, path) -> None:
-        """Write (index, popularity, size_bits) rows; index is the 1-based rank."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,popularity,size_bits\n")
-            for j in range(self.F):
-                fh.write(f"{j + 1},{float(self.popularity.a[j])!r},{float(self.sizes[j])!r}\n")
 
 
 def order_sizes(z, mode: str):

@@ -32,16 +32,19 @@ only in how each variant is set up:
   closed form is total_success.
 - correlation: the same catalogue, and each variant names the ordering
   (one of content.ORDERING_MODES) applied to it.
-- comparison: a fixed lifespan and, per variant, a size law that the
-  simulator redraws every iteration, ordered per reorder; the closed form
-  is expected_success over that law with the same ordering.
+- comparison: a fixed lifespan and, per variant, a size law from which
+  the simulator draws each requested object's size, ordered per reorder;
+  the closed form is expected_success over that law with the same
+  ordering.
 
 Seed derivation: a preset's integer seed S feeds three independent
 sub-streams — (S, 1) for the catalogue size sample, (S, 2) for the
 size-expectation Monte Carlo, and (S, 3, sweep, point, variant) as the
 simulator master seed. The correlation preset deliberately shares
-(S, 3, sweep, point) across its variants so their curves differ only
-through the size permutation.
+(S, 3, sweep, point) across its variants. The simulator draws each
+block's requested ranks first, so the variants see the same request
+sequence; the transmitter fields that follow differ, because each
+ordering gives the requested object its own size and simulation radius.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import AnalyticInputs, expected_success, total_success
+from .analytics import AnalyticInputs, coverage_radius_scale, expected_success, total_success
 from .channel import ExponentialFading, RadioParams
 from .content import (
     ORDERING_MODES,
@@ -78,7 +81,7 @@ from .content import (
 from .geometry import Window
 from .mobility import ExponentialLifespan, FixedLifespan
 from .placement import popularity_weighted_marginals
-from .simulator import SimulationConfig, estimate_total_success, required_half_width
+from .simulator import SimulationConfig, estimate_total_success
 
 log = logging.getLogger(__name__)
 
@@ -375,6 +378,16 @@ def _variants(preset: ExperimentPreset, popularity) -> list:
     return [(v, base, v if preset.kind == "correlation" else preset.reorder, None) for v in preset.variants]
 
 
+def required_half_width(inputs: AnalyticInputs, safety: float = 10.0, minimum: float = 500.0) -> float:
+    """A window half-width safely beyond the coverage radius scale.
+
+    Rounded up to the next 100 m so preset geometry stays stable under
+    small parameter perturbations.
+    """
+    scale = coverage_radius_scale(inputs)
+    return max(minimum, 100.0 * math.ceil(safety * scale / 100.0))
+
+
 def _wilson_interval(p_hat: float, n: int, z: float) -> tuple:
     """Wilson score interval of a binomial proportion; valid at p_hat 0 and 1."""
     z2n = z * z / n
@@ -411,7 +424,8 @@ def run_preset(preset: ExperimentPreset) -> list:
     Each preset kind sets up its variants as the module docstring says.
     The window, unless the preset sets one, is the widest
     required_half_width over the variants' catalogues before ordering, at
-    the longest lifespan any point runs.
+    the longest lifespan any point runs; it only caps the simulator's
+    computed radii.
 
     Logs a warning for each row whose analytic value lies outside the
     Wilson score interval at 4 standard errors around the simulated
@@ -456,9 +470,8 @@ def run_preset(preset: ExperimentPreset) -> list:
                 else:
                     rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
                     analytic = expected_success(inputs, law, preset.mc_samples, rng, order=order)
-                # correlation variants share one stream per sweep point: they
-                # differ only through the size permutation, so their curves
-                # are coupled
+                # correlation variants share one stream per sweep point, so
+                # their curves are coupled through a common request sequence
                 key = (s_idx, p_idx) if preset.kind == "correlation" else (s_idx, p_idx, v_idx)
                 config = SimulationConfig(
                     inputs=inputs,

@@ -10,11 +10,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned square observation window centered on the origin.
-
-    half_width is in meters, so the window covers
-    [-half_width, half_width] x [-half_width, half_width].
-    """
+    """Observation window: the simulation disc never exceeds half_width meters."""
 
     half_width: float
 
@@ -22,21 +18,25 @@ class Window:
         if not math.isfinite(self.half_width) or self.half_width <= 0:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
-    @property
-    def area(self) -> float:
-        return (2.0 * self.half_width) ** 2
 
+def sample_disc(intensity, radius, rng: np.random.Generator | None = None):
+    """Distances to the origin of independent Poisson fields on discs.
 
-def sample_ppp(density: float, window: Window, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw one homogeneous Poisson point process realization.
-
-    Returns an (n, 2) array of coordinates in meters: the count n is
-    Poisson(density * area) and positions are i.i.d. uniform over the
-    window. With density 0 the array is empty. The draws are the count,
-    then the coordinates, from rng.
+    Field i is a homogeneous Poisson point process of intensity[i] points
+    per square meter on the disc of radius[i] meters around the origin
+    (both broadcast to one dimension). Only distances matter to a receiver
+    at the origin, so no angles are drawn. The draws are the counts,
+    Poisson(intensity * pi * radius^2) per field (a field with mean 0
+    draws nothing), then one uniform U per point, placed at
+    radius * sqrt(1 - U): uniform over the disc's area and never at the
+    origin. Returns (owner, distance), one entry per point, grouped by
+    field in index order.
     """
-    if not math.isfinite(density) or density < 0:
-        raise ValueError(f"density must be finite and nonnegative, got {density}")
+    intensity, radius = np.broadcast_arrays(np.atleast_1d(np.asarray(intensity, float)), np.asarray(radius, float))
+    for name, value in (("intensity", intensity), ("radius", radius)):
+        if not np.all(np.isfinite(value) & (value >= 0)):
+            raise ValueError(f"{name} must be finite and nonnegative")
     rng = np.random.default_rng() if rng is None else rng
-    n = rng.poisson(density * window.area)
-    return rng.uniform(-window.half_width, window.half_width, size=(n, 2))
+    counts = rng.poisson(intensity * math.pi * radius**2)
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, radius[owner] * np.sqrt(1.0 - rng.random(owner.size))

@@ -49,13 +49,6 @@ class PlacementPolicy:
         """Whether object j is cached for each uniform draw in u."""
         return (np.asarray(u) - self._starts[j]) % 1.0 < self.b[j]
 
-    def to_csv(self, path, popularity: PopularityLaw) -> None:
-        """Write (index, popularity, marginal) rows; index is the 1-based rank."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,popularity,marginal\n")
-            for j in range(self.b.size):
-                fh.write(f"{j + 1},{float(popularity.a[j])!r},{float(self.b[j])!r}\n")
-
 
 def popularity_weighted_marginals(popularity: PopularityLaw, K: int) -> PlacementPolicy:
     """Marginals b_j = min(K * a_j / sum(a_1..a_2K), 1) for the 2K most

@@ -1,44 +1,94 @@
 """Event-level Monte Carlo estimation of service success probabilities.
 
-Each iteration realizes the full generative model once: a request drawn
-from the popularity law, a Poisson field of transmitters, and per
-transmitter a cache inventory, a fading value and a lifespan. The request
-succeeds if some transmitter both caches the object and can push all of
-its bits within the transmitter's lifespan at the Shannon rate of its
-link.
+Each request draws only what can serve it. Under independent thinning,
+the transmitters that cache the requested object j form a Poisson field
+of intensity lambda_t * b_j, whatever else the caches hold, so a request
+draws that field on a disc of radius R_j around the receiver and marks
+each of its transmitters with a fading value and a lifespan. The request
+succeeds if one of them can push all of the file's bits within its
+lifespan at the Shannon rate of its link. Requests for uncached objects
+draw no transmitters at all.
 
-Reproducibility contract: iteration i consumes only the stream derived
-from (master_seed, spawn_key=(i,)), and estimates combine iteration
-results in index order, so results are bit-identical for any parallelism
+R_j is computed, not guessed. Under exponential fading of rate mu, a
+transmitter at distance r qualifies with probability E_T[exp(-k_T r^alpha)],
+k_T = mu N (2^(z/(W T)) - 1) / P, so by Campbell's theorem the expected
+number of qualifiers inside and beyond R is
+
+    M_in(R)  = lambda_t b E_T[(2 pi/alpha) k_T^(-2/alpha) gamma(2/alpha, k_T R^alpha)],
+    M_out(R) = lambda_t b E_T[(2 pi/alpha) k_T^(-2/alpha) Gamma(2/alpha, k_T R^alpha)],
+
+with the lower and upper incomplete gamma functions. The disc misses a
+success exactly when it holds no qualifier and the plane beyond holds
+one, with probability beta(R) = exp(-M_in) (1 - exp(-M_out)). R is the
+smallest radius with beta(R) <= TRUNCATION_BOUND, found by bisection in
+log R, and capped at the window's half-width; the estimate warns when
+the cap binds. Under other fading laws R is the half-width. R comes from
+scipy.special alone and never from the closed forms in analytics, so the
+Monte Carlo does not read the value it checks.
+
+Reproducibility contract: requests run in blocks of BLOCK_SIZE. Block k
+draws only from the stream SeedSequence(master_seed, spawn_key=(k,)), in
+this order: the requested ranks (none when the object is pinned), the
+requested sizes (none for a fixed catalogue), the transmitter counts,
+their distances, their fading, their lifespans. Blocks are concatenated
+in index order, so estimates are bit-identical for any parallelism
 width and across process boundaries.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma as gamma_fn, gammainc, gammaincc
 
-from .analytics import AnalyticInputs, MetricEstimate, coverage_radius_scale
-from .channel import RadioParams, sample_fading
-from .content import ORDERING_MODES, SizeLaw, order_sizes
-from .geometry import Window, sample_ppp
-from .mobility import sample_lifespan
+from .analytics import AnalyticInputs, MetricEstimate
+from .channel import ExponentialFading, link_bits, sample_fading
+from .content import ORDERING_MODES, SizeLaw
+from .geometry import Window, sample_disc
+from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
 
+BLOCK_SIZE = 256
+# Largest probability that a request's disc misses a transmitter which
+# would have served it from farther away.
+TRUNCATION_BOUND = 1e-9
+# Bisection in log R over [half_width / 1024, half_width]: R comes out
+# within a factor 1 + 1.1e-4 above the smallest radius that meets the
+# bound, and never below half_width / 1024.
+_BISECTIONS = 16
 _LN2 = math.log(2.0)
+
+
+def _exponential_lifespan_rule():
+    """Nodes s and weights w with E[f(T)] ~ sum w f(tau e^s) for T ~ Exp(mean tau).
+
+    Gauss-Legendre with 16 nodes in each of seven panels of s = ln(T/tau):
+    one on [-30, -6], where the density e^(s - e^s) is e^s to within e^-6,
+    and six equal ones on [-6, ln 100]. The density leaves out about e^-30
+    below the rule and e^-100 above it.
+    """
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.concatenate([[-30.0], np.linspace(-6.0, math.log(100.0), 7)])
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    s = (lo + width * (x + 1.0) / 2.0).ravel()
+    return s, (width * w / 2.0).ravel() * np.exp(s - np.exp(s))
+
+
+_EXPONENTIAL_RULE = _exponential_lifespan_rule()
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """A complete, seeded simulation setup.
 
-    size_law, when set, redraws the catalogue's sizes from the law on
-    every iteration and assigns them to popularity ranks per reorder (one
-    of content.ORDERING_MODES), which turns the estimate into an
+    window caps the radius of every simulation disc. size_law, when set,
+    draws the requested object's size from the law for every request, as
+    the object's rank order statistic among F draws when reorder (one of
+    content.ORDERING_MODES) sorts them, which turns the estimate into an
     expectation over file-size realizations as well.
     """
 
@@ -59,165 +109,145 @@ class SimulationConfig:
             raise ValueError(f"unknown ordering mode {self.reorder!r}; expected one of {ORDERING_MODES}")
 
 
-@dataclass(frozen=True)
-class ServiceOutcome:
-    """Result of one simulated request.
+def _campbell_terms(inputs: AnalyticInputs, z, b):
+    """Per request (rows) and lifespan node (columns): k_T, and the node's
+    share of the expected qualifiers in the whole plane,
+    lambda_t b w (2 pi/alpha) Gamma(2/alpha) k_T^(-2/alpha).
 
-    nearest_m is the distance of the closest transmitter that could have
-    served the request (NaN when none exists); success holds exactly when
-    n_qualifiers >= 1.
+    z and b are per-request sizes (bits) and cache marginals, and
+    inputs.fading is exponential. E_T is one evaluation under a fixed
+    lifespan and the module's rule in ln T under an exponential one.
     """
-
-    iteration: int
-    requested: int
-    success: bool
-    n_qualifiers: int
-    nearest_m: float
-
-    def __post_init__(self):
-        if self.success != (self.n_qualifiers >= 1):
-            raise ValueError("success flag inconsistent with qualifier count")
-
-
-@dataclass
-class _IterationDraws:
-    """Everything one iteration sampled, with marks for caching nodes only."""
-
-    requested: int
-    size_bits: float
-    distances: np.ndarray  # all transmitters
-    cached: np.ndarray  # bool mask over transmitters
-    h: np.ndarray  # fading, one per caching transmitter
-    tau: np.ndarray  # lifespan, one per caching transmitter
+    radio, law = inputs.radio, inputs.lifespan
+    if isinstance(law, FixedLifespan):
+        t, w = np.array([law.mean]), np.array([1.0])
+    elif isinstance(law, ExponentialLifespan):
+        s, w = _EXPONENTIAL_RULE
+        t = law.mean * np.exp(s)
+    else:
+        raise TypeError(f"unknown lifespan law {law!r}")
+    q = 2.0 / radio.pathloss_exponent
+    with np.errstate(over="ignore"):
+        # k_T overflows to inf for lifespans far too short to deliver z,
+        # where the node's share is then exactly 0
+        k = inputs.fading.rate * radio.noise / radio.power * np.expm1(np.outer(z, _LN2 / (radio.bandwidth * t)))
+        return k, (inputs.density * math.pi * q * gamma_fn(q)) * np.outer(b, w) * k**-q
 
 
-def _iteration_rng(master_seed, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+def _qualifier_means(k, share, alpha: float, radius):
+    """(M_in, M_out) at one radius per row, from _campbell_terms' k and
+    share, each through its own incomplete gamma function: for tiny files
+    M_in is a tiny part of a huge whole."""
+    q = 2.0 / alpha
+    with np.errstate(over="ignore"):
+        y = k * np.asarray(radius, dtype=float)[:, None] ** alpha
+    return (share * gammainc(q, y)).sum(axis=1), (share * gammaincc(q, y)).sum(axis=1)
 
 
-def _draw_sizes(config: SimulationConfig, rng: np.random.Generator) -> np.ndarray:
+def _radii(inputs: AnalyticInputs, z, b, half_width: float):
+    """Simulation radius of each request, and the largest truncation bound
+    among those capped at half_width (0 when none is)."""
+    cap = np.full(len(z), half_width)
+    if not isinstance(inputs.fading, ExponentialFading) or cap.size == 0:
+        return cap, 0.0
+    terms = _campbell_terms(inputs, z, b)
+
+    def bound(log_r):
+        m_in, m_out = _qualifier_means(*terms, inputs.radio.pathloss_exponent, np.exp(log_r))
+        return np.exp(-m_in) * -np.expm1(-m_out)
+
+    lo, hi = np.log(cap / 1024.0), np.log(cap)
+    at_cap = bound(hi)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        inside = bound(mid) <= TRUNCATION_BOUND
+        lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
+    capped = at_cap > TRUNCATION_BOUND
+    return np.where(capped, cap, np.exp(hi)), float(at_cap[capped].max(initial=0.0))
+
+
+def _request_sizes(config: SimulationConfig, rng: np.random.Generator, j: np.ndarray) -> np.ndarray:
+    """The requested objects' sizes; a size law draws one uniform per request,
+    or rank j's order statistic of F uniforms when sizes are sorted."""
     if config.size_law is None:
-        return config.inputs.catalogue.sizes
-    z = config.size_law.inverse_cdf(rng.random(config.inputs.catalogue.F))
-    return order_sizes(np.asarray(z), config.reorder)
+        return config.inputs.catalogue.sizes[j]
+    F = config.inputs.catalogue.F
+    if config.reorder == "independent":
+        u = rng.random(j.size)
+    elif config.reorder == "increasing":
+        u = rng.beta(j + 1, F - j)
+    else:
+        u = rng.beta(F - j, j + 1)
+    return np.asarray(config.size_law.inverse_cdf(u), dtype=float)
 
 
-def _draw_iteration(config: SimulationConfig, rng: np.random.Generator, pinned_object: int | None) -> _IterationDraws:
-    """Sample one iteration in a fixed order: request, sizes, field, caches, marks."""
+def _run_block(config: SimulationConfig, radii, pinned_object: int | None, k: int):
+    """Success of each request in block k, and the largest truncation bound
+    of a capped disc drawn for it (radii, per object, is None under a size
+    law: each request then gets its own)."""
     inputs = config.inputs
+    n = min(BLOCK_SIZE, config.iterations - k * BLOCK_SIZE)
+    rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(k,)))
     if pinned_object is None:
         cum = np.cumsum(inputs.catalogue.popularity.a)
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
+        j = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), inputs.catalogue.F - 1)
     else:
-        j = pinned_object
-    sizes = _draw_sizes(config, rng)
-    pos = sample_ppp(inputs.density, config.window, rng)
-    dist = np.hypot(pos[:, 0], pos[:, 1])
-    cached = inputs.policy.membership(j, rng.random(dist.size))
-    m = int(cached.sum())
-    h = np.asarray(sample_fading(inputs.fading, rng, size=m))
-    tau = np.asarray(sample_lifespan(inputs.lifespan, rng, size=m))
-    return _IterationDraws(requested=j, size_bits=float(sizes[j]), distances=dist, cached=cached, h=h, tau=tau)
+        j = np.full(n, pinned_object)
+    z = _request_sizes(config, rng, j)
+    b = inputs.policy.b[j]
+    worst = 0.0
+    if radii is None:
+        cached = b > 0
+        r_max = np.zeros(n)
+        r_max[cached], worst = _radii(inputs, z[cached], b[cached], config.window.half_width)
+    else:
+        r_max = radii[j]
+    owner, r = sample_disc(inputs.density * b, r_max, rng)
+    h = sample_fading(inputs.fading, rng, size=owner.size)
+    tau = sample_lifespan(inputs.lifespan, rng, size=owner.size)
+    delivered = link_bits(inputs.radio, h, r, tau) >= z[owner]
+    return np.bincount(owner, weights=delivered, minlength=n) > 0, worst
 
 
-def _deliverable(radio: RadioParams, size_bits: float, r: np.ndarray, h: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Which links can move size_bits within their lifespan."""
-    r = np.maximum(r, 1e-12)  # a transmitter exactly at the origin has measure zero
-    snr = radio.power * h * r ** (-radio.pathloss_exponent) / radio.noise
-    bits = tau * radio.bandwidth * np.log1p(snr) / _LN2
-    return bits >= size_bits
-
-
-def run_iteration(config: SimulationConfig, iteration: int, pinned_object: int | None = None) -> ServiceOutcome:
-    """Simulate one request; deterministic given (master_seed, iteration)."""
-    rng = _iteration_rng(config.master_seed, iteration)
-    draws = _draw_iteration(config, rng, pinned_object)
-    r_cached = draws.distances[draws.cached]
-    ok = _deliverable(config.inputs.radio, draws.size_bits, r_cached, draws.h, draws.tau)
-    n_q = int(ok.sum())
-    nearest = float(r_cached[ok].min()) if n_q else math.nan
-    return ServiceOutcome(
-        iteration=iteration, requested=draws.requested, success=n_q >= 1, n_qualifiers=n_q, nearest_m=nearest
-    )
-
-
-def _run_chunk(config: SimulationConfig, lo: int, hi: int, pinned_object: int | None):
-    out = [run_iteration(config, i, pinned_object) for i in range(lo, hi)]
-    return (
-        np.array([o.success for o in out], dtype=bool),
-        np.array([o.requested for o in out], dtype=np.int64),
-        np.array([o.n_qualifiers for o in out], dtype=np.int64),
-        np.array([o.nearest_m for o in out], dtype=float),
-    )
-
-
-def _check_window(config: SimulationConfig) -> None:
-    scale = coverage_radius_scale(config.inputs)
-    if config.window.half_width < 10.0 * scale:
+def _estimate(config: SimulationConfig, pinned_object: int | None) -> MetricEstimate:
+    inputs = config.inputs
+    half_width = config.window.half_width
+    radii, worst = None, 0.0
+    if config.size_law is None:
+        objects = np.flatnonzero(inputs.policy.b > 0) if pinned_object is None else np.array([pinned_object])
+        radii = np.zeros(inputs.catalogue.F)
+        radii[objects], worst = _radii(inputs, inputs.catalogue.sizes[objects], inputs.policy.b[objects], half_width)
+    run = functools.partial(_run_block, config, radii, pinned_object)
+    blocks = range(-(-config.iterations // BLOCK_SIZE))
+    workers = min(config.parallelism, len(blocks))
+    if workers == 1:
+        parts = [run(k) for k in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, blocks, chunksize=-(-len(blocks) // workers)))
+    worst = max([worst] + [w for _, w in parts])
+    if worst > TRUNCATION_BOUND:
         warnings.warn(
-            f"window half-width {config.window.half_width:.0f} m is within a factor 10 of the "
-            f"coverage radius scale {scale:.0f} m; the truncated field may bias estimates low",
+            f"window half-width {half_width:g} m caps the simulation disc below its computed radius: "
+            f"truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
             UserWarning,
             stacklevel=3,
         )
-
-
-def _collect(config: SimulationConfig, pinned_object: int | None):
-    n = config.iterations
-    if config.parallelism == 1:
-        return _run_chunk(config, 0, n, pinned_object)
-    bounds = np.linspace(0, n, config.parallelism + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-        parts = list(
-            pool.map(
-                _run_chunk,
-                [config] * config.parallelism,
-                bounds[:-1],
-                bounds[1:],
-                [pinned_object] * config.parallelism,
-            )
-        )
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(4))
-
-
-def _estimate(config: SimulationConfig, pinned_object: int | None, outcomes_path) -> MetricEstimate:
-    _check_window(config)
-    success, requested, n_qual, nearest = _collect(config, pinned_object)
-    if outcomes_path is not None:
-        with open(outcomes_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "object", "success", "n_qualifiers", "nearest_m"])
-            for i in range(success.size):
-                writer.writerow([i, int(requested[i]) + 1, int(success[i]), int(n_qual[i]), repr(float(nearest[i]))])
+    success = np.concatenate([s for s, _ in parts])
     p = float(success.mean())
     stderr = math.sqrt(p * (1.0 - p) / success.size)
     return MetricEstimate(value=p, standard_error=stderr, sample_count=int(success.size))
 
 
-def estimate_total_success(config: SimulationConfig, outcomes_path=None) -> MetricEstimate:
-    """Estimate the popularity-averaged success probability.
-
-    Optionally streams per-iteration outcome rows (iteration, object,
-    success, n_qualifiers, nearest_m) to a CSV at outcomes_path; the
-    object column is the 1-based popularity rank.
-    """
-    return _estimate(config, None, outcomes_path)
+def estimate_total_success(config: SimulationConfig) -> MetricEstimate:
+    """Estimate the popularity-averaged success probability."""
+    return _estimate(config, None)
 
 
-def estimate_per_object_success(config: SimulationConfig, j: int, outcomes_path=None) -> MetricEstimate:
+def estimate_per_object_success(config: SimulationConfig, j: int) -> MetricEstimate:
     """Estimate the success probability with every request pinned to object j."""
     if not 0 <= j < config.inputs.catalogue.F:
         raise ValueError(f"object index {j} out of range")
     if config.inputs.policy.b[j] == 0.0:
         return MetricEstimate(value=0.0, standard_error=0.0, sample_count=0)
-    return _estimate(config, j, outcomes_path)
-
-
-def required_half_width(inputs: AnalyticInputs, safety: float = 10.0, minimum: float = 500.0) -> float:
-    """A window half-width safely beyond the coverage radius scale.
-
-    Rounded up to the next 100 m so preset geometry stays stable under
-    small parameter perturbations.
-    """
-    scale = coverage_radius_scale(inputs)
-    return max(minimum, 100.0 * math.ceil(safety * scale / 100.0))
+    return _estimate(config, j)

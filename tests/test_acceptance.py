@@ -351,12 +351,10 @@ def test_degenerate_size_law_equals_closed_form(video_inputs):
 # ======================================================================= 7
 
 
-@pytest.mark.criterion(7, "byte-identical reruns")
-def test_csv_output_reproducible_across_runs_and_workers(tmp_path):
+def _rerun_bytes(tmp_path, body):
+    """CSV bytes of a config run twice serially and once on WORKERS workers."""
     config = tmp_path / "repro.ini"
-    config.write_text(
-        "[validate_audio]\niterations = 250\nseed = 5\ntau_grid = 10, 55, 100\n"
-    )
+    config.write_text(body)
     outputs = []
     for tag, workers in (("a", 1), ("b", 1), ("c", WORKERS)):
         out = tmp_path / f"{tag}.csv"
@@ -365,5 +363,22 @@ def test_csv_output_reproducible_across_runs_and_workers(tmp_path):
         )
         assert code == 0
         outputs.append(out.read_bytes())
+    return outputs
+
+
+@pytest.mark.criterion(7, "byte-identical reruns", part="validate")
+def test_csv_output_reproducible_across_runs_and_workers(tmp_path):
+    outputs = _rerun_bytes(tmp_path, "[validate_audio]\niterations = 250\nseed = 5\ntau_grid = 10, 55, 100\n")
+    assert outputs[0] == outputs[1], "same seed, same worker count"
+    assert outputs[0] == outputs[2], "same seed, different worker count"
+
+
+@pytest.mark.criterion(7, "byte-identical reruns", part="ordered")
+def test_ordered_comparison_csv_reproducible_across_workers(tmp_path):
+    # sizes redrawn per request as order statistics; 600 requests span
+    # three blocks, the last one partial
+    outputs = _rerun_bytes(
+        tmp_path, "[ordered_comparison]\niterations = 600\nseed = 5\ntau_grid = 100, 1000\nmc_samples = 1000\n"
+    )
     assert outputs[0] == outputs[1], "same seed, same worker count"
     assert outputs[0] == outputs[2], "same seed, different worker count"

@@ -13,9 +13,8 @@ from d2dcache import (
     RiceFading,
     WeibullFading,
     fading_moment,
-    rate,
+    link_bits,
     sample_fading,
-    snr,
 )
 
 
@@ -40,34 +39,44 @@ def test_radio_params_validation():
 
 
 def test_snr_reference_value(params):
-    # P/N = 5e10 and r^-4 = 1e-4 at 10 m
-    assert snr(params, 1.0, 10.0) == pytest.approx(5e6, rel=1e-12)
+    # P/N = 5e10 and r^-4 = 1e-4 at 10 m: SNR 5e6, so one second at unit
+    # fading moves W log2(1 + 5e6) bits
+    assert link_bits(params, 1.0, 10.0, 1.0) == pytest.approx(5e6 * math.log2(1.0 + 5e6), rel=1e-12)
 
 
 def test_snr_zero_fading_and_power_law(params):
-    assert snr(params, 0.0, 10.0) == 0.0
-    assert snr(params, 1.0, 20.0) == pytest.approx(snr(params, 1.0, 10.0) / 16.0, rel=1e-12)
+    assert link_bits(params, 0.0, 10.0, 1.0) == 0.0
+    # doubling the distance divides the SNR by 2^alpha = 16
+    assert link_bits(params, 1.0, 20.0, 1.0) == pytest.approx(5e6 * math.log2(1.0 + 5e6 / 16.0), rel=1e-12)
 
 
 def test_snr_rejects_zero_distance(params):
     with pytest.raises(ValueError):
-        snr(params, 1.0, 0.0)
+        link_bits(params, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        link_bits(params, 1.0, np.array([10.0, -1.0]), 1.0)
 
 
 def test_rate_reference_values(params):
-    assert rate(params, 0.0) == 0.0
-    assert rate(params, 1.0) == pytest.approx(5e6, rel=1e-12)
-    assert rate(params, 3.0) == pytest.approx(1e7, rel=1e-12)
+    # fading h sets the SNR to 5e10 * h * 1e-4 at 10 m
+    h_for_snr = lambda target: target / 5e6
+    assert link_bits(params, h_for_snr(1.0), 10.0, 1.0) == pytest.approx(5e6, rel=1e-12)
+    assert link_bits(params, h_for_snr(3.0), 10.0, 1.0) == pytest.approx(1e7, rel=1e-12)
+    assert link_bits(params, h_for_snr(3.0), 10.0, 2.5) == pytest.approx(2.5e7, rel=1e-12)
+    assert link_bits(params, 1.0, 10.0, 0.0) == 0.0
     with pytest.raises(ValueError):
-        rate(params, -0.5)
+        link_bits(params, -0.5, 10.0, 1.0)
+    with pytest.raises(ValueError):
+        link_bits(params, 1.0, 10.0, -1.0)
 
 
 def test_rate_monotone_and_snr_decreasing_in_distance(params):
-    snrs = np.linspace(0.0, 10.0, 50)
-    rates = rate(params, snrs)
-    assert np.all(np.diff(rates) > 0)
+    fading = np.linspace(0.0, 10.0, 50)
+    assert np.all(np.diff(link_bits(params, fading, 10.0, 1.0)) > 0)
     distances = np.linspace(1.0, 100.0, 50)
-    assert np.all(np.diff(snr(params, 1.0, distances)) < 0)
+    assert np.all(np.diff(link_bits(params, 1.0, distances, 1.0)) < 0)
+    lifespans = np.linspace(0.0, 10.0, 50)
+    assert np.all(np.diff(link_bits(params, 1.0, 10.0, lifespans)) > 0)
 
 
 def test_exponential_fading_sample_mean():

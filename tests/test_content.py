@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -136,17 +135,6 @@ def test_weibull_shape_one_matches_exponential():
     assert p_value > 0.01
 
 
-def test_truncated_lognormal_bounds_and_mean():
-    base = VIDEO_LAWS["lognormal"]
-    law = LogNormalSize(base.mu, base.sigma, z_min=1e8, z_max=5e9)
-    z = sample_sizes(law, 200_000, rng_for(6))
-    assert z.min() >= 1e8 and z.max() <= 5e9
-    se = z.std(ddof=1) / math.sqrt(z.size)
-    assert abs(z.mean() - mean_size(law)) < 3 * se
-    with pytest.raises(ValueError):
-        law.inverse_cdf(0.5)
-
-
 def test_inverse_cdf_monotone_for_common_random_numbers():
     u = np.linspace(0.0, 1.0, 1001)
     for name, law in VIDEO_LAWS.items():
@@ -211,17 +199,3 @@ def test_catalogue_validates_sizes_and_ordering():
         ContentCatalogue(
             popularity=pop, sizes=np.array([1.0, 3.0, 2.0]), ordering_mode="decreasing"
         )
-
-
-def test_catalogue_csv_round_trip(tmp_path):
-    pop = zipf_popularity(5, 0.78)
-    sizes = sample_sizes(VIDEO_LAWS["exponential"], 5, rng_for(8))
-    cat = ContentCatalogue(popularity=pop, sizes=sizes)
-    path = tmp_path / "catalogue.csv"
-    cat.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["index"] for row in rows] == ["1", "2", "3", "4", "5"]
-    for j, row in enumerate(rows):
-        assert float(row["popularity"]) == pop.a[j]
-        assert float(row["size_bits"]) == sizes[j]

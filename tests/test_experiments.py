@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -430,6 +431,16 @@ def test_comparison_seed_keys_and_window(monkeypatch, name):
         _window(preset, FixedLifespan(1000.0), np.full(preset.catalogue_size, mean_size(law))) for law in laws
     )
     assert all(c[1] == window and c[2] == preset.reorder for c in calls)
+
+
+def test_correlation_preset_window_does_not_warn():
+    # every variant's computed simulation radius lies well inside the
+    # preset's window, so no disc is capped
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run_preset(build_preset("correlation_video", seed=1, iterations=20))
+    assert len(rows) == 30
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
 def test_at_point_annotates_errors():

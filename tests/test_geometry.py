@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from d2dcache import SimulationConfig, Window, sample_ppp
-from d2dcache.simulator import _draw_iteration, _iteration_rng
+from d2dcache import Window, sample_disc
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -15,84 +16,90 @@ def test_window_requires_positive_half_width():
         Window(0.0)
     with pytest.raises(ValueError):
         Window(-5.0)
-    assert Window(250.0).area == pytest.approx(500.0**2)
+    assert Window(250.0).half_width == 250.0
 
 
-def distances(points):
-    return np.hypot(points[:, 0], points[:, 1])
+def nearest(owner, distance, fields):
+    """Distance of each field's nearest point (inf for an empty field)."""
+    out = np.full(fields, np.inf)
+    np.minimum.at(out, owner, distance)
+    return out
 
 
 def test_zero_density_gives_empty_field():
-    points = sample_ppp(0.0, Window(1000.0), rng_for(0))
-    assert points.shape == (0, 2)
-    assert distances(points).size == 0
+    owner, distance = sample_disc(np.zeros(3), np.full(3, 1000.0), rng_for(0))
+    assert owner.size == 0 and distance.size == 0
+    # a field of zero intensity draws nothing, so its neighbours' draws
+    # are those of the same fields sampled without it
+    mixed = sample_disc([1e-3, 0.0, 1e-3], [300.0, 300.0, 300.0], rng_for(1))
+    alone = sample_disc([1e-3, 1e-3], [300.0, 300.0], rng_for(1))
+    np.testing.assert_array_equal(mixed[1], alone[1])
+    assert not np.any(mixed[0] == 1)
 
 
 def test_negative_or_nonfinite_density_rejected():
     for bad in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            sample_ppp(bad, Window(100.0), rng_for(1))
+            sample_disc(bad, 100.0, rng_for(1))
+        with pytest.raises(ValueError):
+            sample_disc(1e-3, bad, rng_for(1))
 
 
 def test_mean_count_matches_intensity_on_reference_window():
-    # 100 km x 100 km at 2.5e-3 per m^2: expected 2.5e7 points per draw
-    window = Window(50_000.0)
+    # a disc of radius 20 km at 2.5e-3 per m^2: about 3.1e6 points per field
+    radius = 20_000.0
     rng = rng_for(2)
-    counts = []
-    for _ in range(5):
-        points = sample_ppp(2.5e-3, window, rng)
-        counts.append(points.shape[0])
-        del points
-    expected = 2.5e-3 * window.area
+    counts = [sample_disc(2.5e-3, radius, rng)[0].size for _ in range(5)]
+    expected = 2.5e-3 * math.pi * radius**2
     se = np.sqrt(expected / len(counts))
     assert abs(np.mean(counts) - expected) < 3 * se
 
 
 def test_count_mean_and_variance_within_5_percent():
-    window = Window(500.0)
-    density = 2.5e-3
-    rng = rng_for(3)
-    counts = np.array([sample_ppp(density, window, rng).shape[0] for _ in range(4000)])
-    expected = density * window.area
+    density, radius = 2.5e-3, 500.0
+    owner, _ = sample_disc(np.full(4000, density), radius, rng_for(3))
+    counts = np.bincount(owner, minlength=4000)
+    expected = density * math.pi * radius**2
     assert abs(counts.mean() - expected) < 0.05 * expected
     assert abs(counts.var(ddof=1) - expected) < 0.05 * expected
 
 
 def test_nearest_point_distance_mean():
-    # for a homogeneous field the nearest distance averages (2 sqrt(lambda))^-1
-    density = 2.5e-3
-    rng = rng_for(4)
-    nearest = []
-    for _ in range(2000):
-        nearest.append(distances(sample_ppp(density, Window(400.0), rng)).min())
-    nearest = np.array(nearest)
+    # for a homogeneous field the nearest distance averages (2 sqrt(lambda))^-1,
+    # and P(nearest > x) = exp(-lambda pi x^2) inside the disc
+    density, fields = 2.5e-3, 2000
+    owner, distance = sample_disc(np.full(fields, density), 400.0, rng_for(4))
+    near = nearest(owner, distance, fields)
     target = 1.0 / (2.0 * np.sqrt(density))
-    se = nearest.std(ddof=1) / np.sqrt(nearest.size)
-    assert abs(nearest.mean() - target) < 3 * se
-
-
-def test_positions_uniform_over_quadrants():
-    rng = rng_for(5)
-    pooled = np.concatenate([sample_ppp(1e-3, Window(300.0), rng) for _ in range(50)])
-    quadrant = (pooled[:, 0] > 0).astype(int) * 2 + (pooled[:, 1] > 0).astype(int)
-    observed = np.bincount(quadrant, minlength=4)
-    _, p_value = stats.chisquare(observed)
+    se = near.std(ddof=1) / np.sqrt(near.size)
+    assert abs(near.mean() - target) < 3 * se
+    _, p_value = stats.kstest(near, lambda x: -np.expm1(-density * np.pi * x**2))
     assert p_value > 0.01
 
 
+def test_distances_uniform_over_disc():
+    # uniform over the disc's area: (r / R)^2 is uniform on (0, 1], for
+    # fields of different radii alike
+    radius = np.array([300.0, 50.0, 1200.0])
+    owner, distance = sample_disc(np.full(3, 1e-3) * (300.0 / radius) ** 2, radius, rng_for(5))
+    assert np.all((distance > 0) & (distance <= radius[owner]))
+    _, p_value = stats.kstest((distance / radius[owner]) ** 2, "uniform")
+    assert p_value > 0.01
+    assert np.all(np.diff(owner) >= 0)
+
+
 def test_sampling_deterministic_given_stream():
-    a = sample_ppp(1e-3, Window(500.0), rng_for(6))
-    b = sample_ppp(1e-3, Window(500.0), rng_for(6))
-    np.testing.assert_array_equal(a, b)
+    a = sample_disc(np.full(4, 1e-3), 500.0, rng_for(6))
+    b = sample_disc(np.full(4, 1e-3), 500.0, rng_for(6))
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
-def test_distances_consistent_with_points(video_inputs):
-    points = sample_ppp(1e-3, Window(500.0), rng_for(7))
-    assert np.all(np.abs(points) <= 500.0)
-    # the simulator's transmitter distances are those of sample_ppp's
-    # field, drawn from the iteration stream right after the request
-    config = SimulationConfig(inputs=video_inputs, window=Window(300.0), iterations=1, master_seed=7)
-    draws = _draw_iteration(config, _iteration_rng(7, 0), None)
-    rng = _iteration_rng(7, 0)
-    rng.random()
-    np.testing.assert_array_equal(draws.distances, distances(sample_ppp(video_inputs.density, config.window, rng)))
+def test_distances_consistent_with_points():
+    # the draws are the counts, then one uniform per point
+    intensity, radius = np.array([1e-3, 2e-3]), np.array([100.0, 60.0])
+    owner, distance = sample_disc(intensity, radius, rng_for(7))
+    rng = rng_for(7)
+    counts = rng.poisson(intensity * np.pi * radius**2)
+    np.testing.assert_array_equal(owner, np.repeat([0, 1], counts))
+    np.testing.assert_array_equal(distance, radius[owner] * np.sqrt(1.0 - rng.random(owner.size)))

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -114,17 +113,3 @@ def test_sampled_inventories_respect_capacity_and_marginals():
     for j in range(8):
         se = math.sqrt(policy.b[j] * (1 - policy.b[j]) / n)
         assert abs(counts[j] / n - policy.b[j]) < 4 * se + 1e-12
-
-
-def test_policy_csv_round_trip(tmp_path):
-    pop = zipf_popularity(12, 0.78)
-    policy = popularity_weighted_marginals(pop, 3)
-    path = tmp_path / "policy.csv"
-    policy.to_csv(path, pop)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 12
-    assert [row["index"] for row in rows] == [str(j + 1) for j in range(12)]
-    for j, row in enumerate(rows):
-        assert float(row["popularity"]) == pop.a[j]
-        assert float(row["marginal"]) == policy.b[j]

@@ -69,7 +69,7 @@ CONSTRUCTORS = {
     "ExponentialSize": (ExponentialSize, dict(rate=1e-9)),
     "ParetoSize": (ParetoSize, dict(shape=1.5, scale=5e7)),
     "WeibullSize": (WeibullSize, dict(scale=276.0, shape=0.1)),
-    "LogNormalSize": (LogNormalSize, dict(mu=20.0, sigma=4.0, z_min=1e8, z_max=5e9)),
+    "LogNormalSize": (LogNormalSize, dict(mu=20.0, sigma=4.0)),
     "zipf_popularity": (lambda gamma: zipf_popularity(100, gamma), dict(gamma=0.78)),
     "ContentCatalogue": (
         lambda size: ContentCatalogue(popularity=zipf_popularity(3, 1.0), sizes=[1e9, size, 2e9]),
