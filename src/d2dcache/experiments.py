@@ -166,8 +166,9 @@ class ExperimentPreset:
             raise ConfigError(f"zipf_exponent must be finite and nonnegative, got {self.zipf_exponent!r}")
         if self.reorder not in ORDERING_MODES:
             raise ConfigError(f"unknown ordering {self.reorder!r}; expected one of {ORDERING_MODES}")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
+        for name in ("iterations", "cache_capacity", "parallelism"):
+            if not (isinstance(getattr(self, name), int) and getattr(self, name) >= 1):
+                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
         if self.mc_samples < 1000:
             raise ConfigError("mc_samples must be at least 1000")
         if 2 * self.cache_capacity > self.catalogue_size:

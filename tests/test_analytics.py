@@ -211,7 +211,12 @@ def test_moment_rejects_nonfinite_inputs(entry, position, bad):
 def test_package_import_does_not_load_scipy_integrate():
     src = str(Path(d2dcache.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, d2dcache; sys.exit('scipy.integrate' in sys.modules)"
+    # importing the package and taking the Nakagami and Rice moments must not load it
+    code = (
+        "import sys, d2dcache as d; "
+        "d.fading_moment(d.NakagamiFading(2.0, 1.0), 4.0); d.fading_moment(d.RiceFading(1.0, 0.5), 4.0); "
+        "sys.exit('scipy.integrate' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 

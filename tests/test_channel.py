@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, i0e
 
 from d2dcache import (
     ExponentialFading,
@@ -155,3 +155,84 @@ def test_fading_moment_spot_check_against_sampling():
         mc = h ** 0.5
         se = mc.std(ddof=1) / math.sqrt(mc.size)
         assert abs(mc.mean() - fading_moment(law, 4.0)) < 3 * se
+
+
+# ------------------------------------------- oracle: quadrature of the densities
+
+
+def nakagami_pdf(m, omega):
+    lognorm = math.log(2.0) + m * math.log(m / omega) - math.lgamma(m)
+    return lambda h: math.exp(lognorm + (2 * m - 1) * math.log(h) - m * h * h / omega)
+
+
+def rice_pdf(nu, sigma):
+    s2 = sigma * sigma
+    # i0e carries the e^{-x} factor, which cancels the cross term of the
+    # Gaussian exponent and keeps the product finite for large h
+    return lambda h: (h / s2) * i0e(h * nu / s2) * math.exp(-((h - nu) ** 2) / (2 * s2))
+
+
+def quadrature_moment(law, alpha):
+    """E[H^(2/alpha)] by quad over a finite window around the density's mass.
+
+    The window leaves out at most 2e-30 of the mass (quantiles of the gamma
+    law of H^2 for Nakagami, nu +- 40 sigma for Rice) and has a breakpoint
+    at the Nakagami mode or at nu, so quad cannot miss a narrow peak far
+    out on the half line.
+    """
+    q = 2.0 / alpha
+    if isinstance(law, NakagamiFading):
+        power = stats.gamma(law.m, scale=law.omega / law.m)
+        pdf, lo, hi = nakagami_pdf(law.m, law.omega), math.sqrt(power.ppf(1e-30)), math.sqrt(power.isf(1e-30))
+        peak = math.sqrt(law.omega * max(1.0 - 0.5 / law.m, 0.0))
+    else:
+        pdf, lo, hi = rice_pdf(law.nu, law.sigma), max(law.nu - 40.0 * law.sigma, 0.0), law.nu + 40.0 * law.sigma
+        peak = law.nu
+    value, abserr = integrate.quad(
+        lambda h: h**q * pdf(h) if h > 0 else 0.0, lo, hi, points=[peak], epsabs=0.0, epsrel=1e-12, limit=500
+    )
+    assert abserr <= 1e-11 * value
+    return value
+
+
+ORACLE_LAWS = [
+    NakagamiFading(0.5, 1.0),
+    NakagamiFading(0.7, 2.0),
+    NakagamiFading(2.0, 1.0),
+    NakagamiFading(3.5, 0.5),
+    NakagamiFading(300.0, 1.0),  # Gamma(m) alone overflows past m = 171
+    RiceFading(0.0, 1.0),
+    RiceFading(1e-100, 1.0),  # scipy's 1F1 alone returns inf here at alpha = 12
+    RiceFading(1e-9, 0.8),
+    RiceFading(1.0, 0.5),
+    RiceFading(3.0, 1.0),
+    RiceFading(30.0, 0.1),
+    RiceFading(100.0, 1.0),
+    RiceFading(10.0, 0.01),  # nu / sigma = 1e3
+    RiceFading(1.4e4, 1.0),  # K just below the large-K switch at 1e8
+    RiceFading(2e4, 1.0),  # and just above it
+    RiceFading(1e6, 1.0),  # scipy's 1F1 alone returns NaN here at alpha = 12
+]
+
+
+def test_nakagami_moment_at_extreme_parameters():
+    # Gamma(m + s) / Gamma(m) tends to m^s as m grows and to Gamma(s) m as m
+    # falls to 0, while omega / m under- or overflows
+    s = 0.25
+    assert fading_moment(NakagamiFading(1e300, 1e-300), 4.0) == pytest.approx(1e-75, rel=1e-12)
+    expected = 1e300**s * gamma_fn(s) * 1e-300 ** (1 - s)
+    assert fading_moment(NakagamiFading(1e-300, 1e300), 4.0) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 12.0])
+@pytest.mark.parametrize("law", ORACLE_LAWS, ids=repr)
+def test_fading_moment_against_density_quadrature(law, alpha):
+    assert fading_moment(law, alpha) == pytest.approx(quadrature_moment(law, alpha), rel=1e-9)
+
+
+def test_rice_moment_strong_line_of_sight_reference():
+    # nu^2 / (2 sigma^2) = 4.5e4 puts all the mass in a narrow peak at nu,
+    # which quadrature over the whole half line misses; 10^6 draws give
+    # 5.477231 +- 9e-6
+    assert fading_moment(RiceFading(30.0, 0.1), 4.0) == pytest.approx(5.47723318, abs=1e-8)
+    assert fading_moment(RiceFading(100.0, 1.0), 4.0) == pytest.approx(10.0001250, abs=1e-7)

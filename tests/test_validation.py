@@ -2,9 +2,10 @@
 
 For each numeric field of each model dataclass (and each numeric INI key
 of a config file), any float is either rejected with ValueError
-(ConfigError for presets and config files) or was finite. NaN and +-inf
-are always among the examples tried, because comparisons with NaN are
-false and so slip past a plain range check.
+(ConfigError for presets and config files) or was finite; the integer
+preset fields cache_capacity and parallelism must also be at least 1.
+NaN and +-inf are always among the examples tried, because comparisons
+with NaN are false and so slip past a plain range check.
 """
 
 import math
@@ -99,10 +100,28 @@ def test_dataclass_fields_accept_only_finite_values(name, key, value):
     assert math.isfinite(value), f"{name}({key}={value!r}) was accepted"
 
 
-# preset overrides that a config file cannot express
+# preset fields that must moreover be positive integers
+POSITIVE_INTEGER_KEYS = ("cache_capacity", "parallelism")
+
+
+def _admissible(key, value):
+    if key in POSITIVE_INTEGER_KEYS:
+        return math.isfinite(value) and value >= 1 and value.is_integer()
+    return math.isfinite(value)
+
+
+def _integral(value):
+    """An integral float as an int, so that integer fields see 0, -1, 3, ..."""
+    return int(value) if value.is_integer() else value
+
+
+# preset overrides that a config file cannot express, and the integer
+# fields reached through build_preset
 PRESET_OVERRIDES = {
     "fixed_lifespan": lambda value: dict(fixed_lifespan=value),
     "tau_grid": lambda value: dict(tau_grid=(10.0, value)),
+    "cache_capacity": lambda value: dict(cache_capacity=_integral(value)),
+    "parallelism": lambda value: dict(parallelism=_integral(value)),
 }
 
 
@@ -112,12 +131,14 @@ PRESET_OVERRIDES = {
 @example(value=math.nan)
 @example(value=math.inf)
 @example(value=-math.inf)
+@example(value=0.0)
+@example(value=-1.0)
 def test_preset_overrides_accept_only_finite_values(key, value):
     try:
         build_preset("validate_audio", **PRESET_OVERRIDES[key](value))
     except ConfigError:
         return
-    assert math.isfinite(value), f"build_preset({key}) with {value!r} was accepted"
+    assert _admissible(key, value), f"build_preset({key}) with {value!r} was accepted"
 
 
 NUMERIC_KEYS = [key for key, parse in experiments._OVERRIDE_TYPES.items() if parse is not str]
@@ -129,11 +150,13 @@ NUMERIC_KEYS = [key for key, parse in experiments._OVERRIDE_TYPES.items() if par
 @example(value=math.nan)
 @example(value=math.inf)
 @example(value=-math.inf)
+@example(value=0.0)
+@example(value=-1.0)
 def test_ini_keys_accept_only_finite_values(tmp_path_factory, key, value):
     path = tmp_path_factory.mktemp("ini") / "run.ini"
-    path.write_text(f"[validate_audio]\n{key} = {value!r}\n")
+    path.write_text(f"[validate_audio]\n{key} = {_integral(value)!r}\n")
     try:
         load_config(path)
     except ConfigError:
         return
-    assert math.isfinite(value), f"{key} = {value!r} was accepted"
+    assert _admissible(key, value), f"{key} = {value!r} was accepted"
