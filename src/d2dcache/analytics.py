@@ -22,11 +22,28 @@ a window set for each argument, where the integrand decays
 double-exponentially at both ends. The same rule on 12 panels gives an
 error estimate; a value that is not finite or whose estimate exceeds 1e-8
 relative raises ArithmeticError.
+
+Expected success is a Monte Carlo over size draws in two steps:
+draw_expectation_sizes draws the sizes once, and evaluate_expected_success
+averages each draw's failure mass sum_j a_j exp(-c b_j I_T(z_j)) over the
+cached objects at one density and lifespan, so a sweep reuses one sample
+at every point. I_T and the failure mass are evaluated in blocks of
+_FAILURE_BLOCK draws, so every temporary stays cache-sized: the terms go
+through buffers allocated once per call, never a whole 2K x draws matrix.
+Exponents are clamped at _EXP_FLOOR = -700 and their terms set to 0,
+because numpy's exp takes a slow path on results below about e^-708
+(subnormal or zero), 35 to 150 times slower than just above it in
+timings over 2 million values. A zeroed term is at most e^-700 < 1e-304,
+so it cannot move a draw's failure mass once that mass exceeds about
+1e-288, nor the returned value: that adds the uncached popularity mass,
+and when nothing is uncached any failure mass this small leaves the
+value at 1.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +62,13 @@ _MOMENT_RTOL = 1e-8
 # Rows of the exponential-lifespan kernel evaluated together: bounds its
 # temporaries to _MOMENT_CHUNK x 384 values whatever the number of draws.
 _MOMENT_CHUNK = 64
+# Draws per block of the size expectation: bounds the buffers of I_T and
+# the failure mass to 2K x _FAILURE_BLOCK values (320 KB at 2K = 10),
+# whatever the number of draws.
+_FAILURE_BLOCK = 4096
+# Failure-mass exponents below this give terms of 0 (see the module
+# docstring): numpy's exp takes a slow path on results below about e^-708.
+_EXP_FLOOR = -700.0
 
 
 def _composite_gauss_legendre(panels: int):
@@ -256,6 +280,79 @@ def total_success(inputs: AnalyticInputs) -> MetricEstimate:
     return MetricEstimate(value=_clamp(success))
 
 
+def draw_expectation_sizes(
+    inputs: AnalyticInputs, size_law: SizeLaw, mc_samples: int, rng: np.random.Generator | None, order: str
+) -> np.ndarray:
+    """The size draws behind expected_success, one column per draw.
+
+    With order "independent" the result has one row of mc_samples sizes,
+    each shared by every cached object (common random numbers).
+    Otherwise each of max(200, mc_samples // F) draws is a whole catalogue
+    of F sizes, assigned to popularity ranks per order (see
+    content.order_sizes), and the result keeps one row per cached object.
+    The draws depend only on the catalogue size and the placement, so one
+    sample serves every density and lifespan of a sweep.
+    """
+    if not isinstance(mc_samples, numbers.Integral):
+        raise ValueError(f"mc_samples must be an integer, got {mc_samples!r}")
+    if mc_samples < 1000:
+        raise ValueError("mc_samples must be at least 1000")
+    rng = np.random.default_rng() if rng is None else rng
+    if order == "independent":
+        return np.asarray(size_law.inverse_cdf(rng.random(mc_samples)), dtype=float)[None, :]
+    draws = max(200, mc_samples // inputs.catalogue.F)
+    u = rng.random((draws, inputs.catalogue.F))
+    return order_sizes(np.asarray(size_law.inverse_cdf(u), dtype=float), order)[:, inputs.policy.b > 0].T
+
+
+def _failure_mass(inputs: AnalyticInputs, sizes: np.ndarray) -> np.ndarray:
+    """Per draw, the failure mass sum_j a_j exp(-c b_j I_T(z_j)) of the cached objects.
+
+    I_T and the terms are evaluated in blocks of _FAILURE_BLOCK draws with
+    reused buffers, sized for at most that many draws; exponents below
+    _EXP_FLOOR give terms of 0 (see the module docstring).
+    """
+    cached = inputs.policy.b > 0
+    sizes = np.asarray(sizes, dtype=float)
+    if sizes.ndim != 2 or sizes.shape[0] not in (1, int(cached.sum())) or sizes.shape[1] < 2:
+        raise ValueError(f"sizes of shape {sizes.shape} do not fit {int(cached.sum())} cached objects")
+    draws = sizes.shape[1]
+    neg_coeffs = -(_coefficient(inputs) * inputs.policy.b[cached])[:, None]
+    a_cached = inputs.catalogue.popularity.a[cached]
+    per_draw = np.empty(draws)
+    block = min(_FAILURE_BLOCK, draws)
+    terms = np.empty(neg_coeffs.size * block)
+    kept = np.empty(terms.size, dtype=bool)
+    for lo in range(0, draws, block):
+        width = min(block, draws - lo)
+        t = terms[: neg_coeffs.size * width].reshape(-1, width)
+        keep = kept[: t.size].reshape(t.shape)
+        its = lifespan_moment(
+            inputs.lifespan, sizes[:, lo : lo + width], inputs.radio.bandwidth, inputs.radio.pathloss_exponent
+        )
+        np.multiply(neg_coeffs, its, out=t)
+        np.greater_equal(t, _EXP_FLOOR, out=keep)
+        np.maximum(t, _EXP_FLOOR, out=t)
+        np.exp(t, out=t)
+        np.multiply(t, keep, out=t)
+        np.matmul(a_cached, t, out=per_draw[lo : lo + width])
+    return per_draw
+
+
+def evaluate_expected_success(inputs: AnalyticInputs, sizes: np.ndarray) -> MetricEstimate:
+    """Success averaged over popularity and the size draws of sizes.
+
+    sizes comes from draw_expectation_sizes: one shared row, or one row
+    per cached object, and one column per draw. The standard error and
+    sample count are those of the draws.
+    """
+    per_draw = _failure_mass(inputs, sizes)
+    uncached = ~(inputs.policy.b > 0)
+    failure = float(inputs.catalogue.popularity.a[uncached].sum()) + float(per_draw.mean())
+    stderr = float(per_draw.std(ddof=1) / math.sqrt(per_draw.size))
+    return MetricEstimate(value=_clamp(1.0 - failure), standard_error=stderr, sample_count=per_draw.size)
+
+
 def expected_success(
     inputs: AnalyticInputs,
     size_law: SizeLaw,
@@ -266,37 +363,16 @@ def expected_success(
     """Service success averaged over both popularity and random file sizes.
 
     Sizes enter only through I_T, so the expectation over the size law is
-    estimated by Monte Carlo; the catalogue's realized sizes are ignored.
-    With order "independent" one size draw is shared across all objects
-    (common random numbers) for each of mc_samples draws. Otherwise sizes
-    are no longer independent across objects: each of
-    max(200, mc_samples // F) draws is a whole catalogue of F sizes,
-    assigned to popularity ranks per order (see content.order_sizes). The
-    returned standard error and sample count are those of the draws, so
-    they reflect the size sampling only.
+    estimated by Monte Carlo over the draws of draw_expectation_sizes (see
+    there for order); the catalogue's realized sizes are ignored. This is
+    evaluate_expected_success of those draws, so a sweep can draw once and
+    evaluate at each point. I_T and the failure mass are evaluated in
+    blocks of _FAILURE_BLOCK draws, and terms below e^-700 count as 0:
+    that avoids numpy's slow exp path and leaves the value exact (see the
+    module docstring). The returned standard error and sample count are
+    those of the draws, so they reflect the size sampling only.
     """
-    if mc_samples < 1000:
-        raise ValueError("mc_samples must be at least 1000")
-    rng = np.random.default_rng() if rng is None else rng
-    a = inputs.catalogue.popularity.a
-    b = inputs.policy.b
-    cached = b > 0
-    if order == "independent":
-        # one row: each draw's size serves every cached object
-        draws = mc_samples
-        z = np.asarray(size_law.inverse_cdf(rng.random(draws)), dtype=float)[None, :]
-    else:
-        # one column per draw: the ordered catalogue's cached objects
-        draws = max(200, mc_samples // inputs.catalogue.F)
-        u = rng.random((draws, inputs.catalogue.F))
-        z = order_sizes(np.asarray(size_law.inverse_cdf(u), dtype=float), order)[:, cached].T
-    its = lifespan_moment(inputs.lifespan, z, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
-    # per-draw failure mass of the cached objects: rows = objects, cols = draws
-    coeffs = _coefficient(inputs) * b[cached]
-    per_draw = a[cached] @ np.exp(-coeffs[:, None] * its)
-    failure = float(a[~cached].sum()) + float(per_draw.mean())
-    stderr = float(per_draw.std(ddof=1) / math.sqrt(draws))
-    return MetricEstimate(value=_clamp(1.0 - failure), standard_error=stderr, sample_count=draws)
+    return evaluate_expected_success(inputs, draw_expectation_sizes(inputs, size_law, mc_samples, rng, order))
 
 
 def coverage_radius_scale(inputs: AnalyticInputs) -> float:

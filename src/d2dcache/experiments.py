@@ -38,9 +38,13 @@ only in how each variant is set up:
   ordering.
 
 Seed derivation: a preset's integer seed S feeds three independent
-sub-streams — (S, 1) for the catalogue size sample, (S, 2) for the
-size-expectation Monte Carlo, and (S, 3, sweep, point, variant) as the
-simulator master seed. The correlation preset deliberately shares
+sub-streams — (S, 1) for the catalogue size sample of the validate and
+correlation presets, (S, 2) for the size-expectation Monte Carlo, and
+(S, 3, sweep, point, variant) as the simulator master seed. Each
+comparison variant draws its size sample from a fresh (S, 2) stream once,
+before the sweep, and every point of the variant evaluates that one
+sample; an ordered preset logs the top-5 sizes of the sample's first
+catalogue. The correlation preset deliberately shares
 (S, 3, sweep, point) across its variants. The simulator draws each
 block's requested ranks first, so the variants see the same request
 sequence; the transmitter fields that follow differ, because each
@@ -62,7 +66,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import AnalyticInputs, coverage_radius_scale, expected_success, total_success
+from .analytics import (
+    AnalyticInputs,
+    coverage_radius_scale,
+    draw_expectation_sizes,
+    evaluate_expected_success,
+    total_success,
+)
 from .channel import ExponentialFading, RadioParams
 from .content import (
     ORDERING_MODES,
@@ -74,7 +84,6 @@ from .content import (
     WeibullSize,
     apply_ordering,
     mean_size,
-    order_sizes,
     sample_sizes,
     zipf_popularity,
 )
@@ -166,7 +175,7 @@ class ExperimentPreset:
             raise ConfigError(f"zipf_exponent must be finite and nonnegative, got {self.zipf_exponent!r}")
         if self.reorder not in ORDERING_MODES:
             raise ConfigError(f"unknown ordering {self.reorder!r}; expected one of {ORDERING_MODES}")
-        for name in ("iterations", "cache_capacity", "parallelism"):
+        for name in ("iterations", "cache_capacity", "parallelism", "mc_samples"):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
         if self.mc_samples < 1000:
@@ -325,12 +334,17 @@ def load_config(path) -> ExperimentPreset:
 
 
 @contextlib.contextmanager
-def _at_point(sweep_name, value, variant):
-    """Attach the failing sweep point to numeric and value errors."""
+def _annotated(context: str):
+    """Attach context to numeric and value errors."""
     try:
         yield
     except (ArithmeticError, ValueError) as exc:
-        raise type(exc)(f"{exc} (at {sweep_name}={value}, variant={variant!r})") from exc
+        raise type(exc)(f"{exc} ({context})") from exc
+
+
+def _at_point(sweep_name, value, variant):
+    """Attach the failing sweep point to numeric and value errors."""
+    return _annotated(f"at {sweep_name}={value}, variant={variant!r}")
 
 
 def _radio(preset: ExperimentPreset) -> RadioParams:
@@ -454,23 +468,30 @@ def run_preset(preset: ExperimentPreset) -> list:
     hw = preset.window_half_width or max(
         required_half_width(inputs_at(preset.density, longest, base)) for _, base, _, _ in variants
     )
-    if preset.kind == "comparison" and preset.reorder != "independent":
-        for variant, _, order, law in variants:
-            rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 1)))
-            sample = order_sizes(sample_sizes(law, preset.catalogue_size, rng), order)
-            log.info("top-5 %s sizes (Gb): %s", variant, np.array2string(sample[:5] / 1e9, precision=3, separator=", "))
+    # one size sample per comparison variant, shared by all its points
+    samples = []
+    for variant, base, order, law in variants:
+        if law is None:
+            samples.append(None)
+            continue
+        with _annotated(f"drawing sizes for variant={variant!r}"):
+            rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
+            inputs = inputs_at(preset.density, longest, base)
+            samples.append(draw_expectation_sizes(inputs, law, preset.mc_samples, rng, order))
+        if order != "independent":
+            top = samples[-1][:5, 0]
+            log.info("top-5 %s sizes (Gb): %s", variant, np.array2string(top / 1e9, precision=3, separator=", "))
     catalogues = [apply_ordering(base, order) for _, base, order, _ in variants]
 
     rows = []
     for s_idx, p_idx, sweep_name, value, density, tau in points:
-        for v_idx, ((variant, _, order, law), catalogue) in enumerate(zip(variants, catalogues)):
+        for v_idx, ((variant, _, order, law), catalogue, sizes) in enumerate(zip(variants, catalogues, samples)):
             with _at_point(sweep_name, value, variant):
                 inputs = inputs_at(density, tau, catalogue)
                 if law is None:
                     analytic = total_success(inputs)
                 else:
-                    rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
-                    analytic = expected_success(inputs, law, preset.mc_samples, rng, order=order)
+                    analytic = evaluate_expected_success(inputs, sizes)
                 # correlation variants share one stream per sweep point, so
                 # their curves are coupled through a common request sequence
                 key = (s_idx, p_idx) if preset.kind == "correlation" else (s_idx, p_idx, v_idx)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +30,15 @@ from d2dcache import (
     total_success,
     zipf_popularity,
 )
-from d2dcache.analytics import _exponential_moment
+from d2dcache.analytics import (
+    _EXP_FLOOR,
+    _FAILURE_BLOCK,
+    _coefficient,
+    _exponential_moment,
+    _failure_mass,
+    draw_expectation_sizes,
+    evaluate_expected_success,
+)
 from d2dcache.experiments import COMPARISON_SIZE_LAWS
 
 W = 5e6
@@ -363,6 +372,13 @@ def test_expected_success_requires_enough_samples():
         expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=999)
 
 
+@pytest.mark.parametrize("mc_samples", [1500.5, 2000.0, math.nan, math.inf, "5000"])
+def test_expected_success_requires_integer_samples(mc_samples):
+    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    with pytest.raises(ValueError, match="mc_samples"):
+        expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=mc_samples, rng=rng_for(3))
+
+
 def test_expected_success_deterministic_given_stream():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     law = UniformSize(5e7, 2e9)
@@ -409,6 +425,91 @@ def test_ordered_expectation_matches_sorted_catalogue_draws(order, lifespan, mc_
     assert est.sample_count == draws
     assert est.value == pytest.approx(math.fsum(direct) / draws, rel=1e-12)
     assert est.standard_error == pytest.approx(np.std(direct, ddof=1) / math.sqrt(draws), rel=1e-9)
+
+
+# ------------------------------------------------- blocked failure mass
+
+
+def _check_against_naive_kernel(inputs, sizes):
+    """The blocked kernel against the whole-matrix a @ exp(exponents).
+
+    Per draw, it must equal the whole-matrix sum with the terms below
+    e^_EXP_FLOOR zeroed, bit for bit, and differ from the plain sum by at
+    most those terms. Value, standard error and count must be bit-equal.
+    Returns the exponents -c b_j I_T(z), one row per cached object.
+    """
+    cached = inputs.policy.b > 0
+    a = inputs.catalogue.popularity.a
+    its = lifespan_moment(inputs.lifespan, sizes, W, ALPHA)
+    exponents = -(_coefficient(inputs) * inputs.policy.b[cached])[:, None] * its
+    naive = a[cached] @ np.exp(exponents)
+    zeroed = a[cached] @ np.where(exponents < _EXP_FLOOR, 0.0, np.exp(exponents))
+    per_draw = _failure_mass(inputs, sizes)
+    assert per_draw.tobytes() == zeroed.tobytes()
+    assert np.all(np.abs(per_draw - naive) <= a[cached].sum() * math.exp(_EXP_FLOOR))
+    est = evaluate_expected_success(inputs, sizes)
+    failure = float(a[~cached].sum()) + float(naive.mean())
+    assert est.value == min(max(1.0 - failure, 0.0), 1.0)
+    assert est.standard_error == float(naive.std(ddof=1) / math.sqrt(naive.size))
+    assert est.sample_count == naive.size
+    return exponents
+
+
+@pytest.mark.parametrize("draws", [1000, 3 * _FAILURE_BLOCK + 517], ids=["below_one_block", "ragged_blocks"])
+@pytest.mark.parametrize("order", ["independent", "decreasing"])
+@pytest.mark.parametrize("law", sorted(COMPARISON_SIZE_LAWS))
+def test_blocked_failure_mass_matches_naive_kernel(law, order, draws):
+    inputs = make_inputs(density=1e-2, lifespan=FixedLifespan(100.0))
+    # independent: one size a draw; ordered: one catalogue of F = 100 a draw
+    mc_samples = draws if order == "independent" else draws * inputs.catalogue.F
+    sizes = draw_expectation_sizes(inputs, COMPARISON_SIZE_LAWS[law], mc_samples, rng_for(7), order)
+    assert sizes.shape[1] == draws
+    _check_against_naive_kernel(inputs, sizes)
+
+
+def test_blocked_failure_mass_straddles_exp_floor():
+    # sizes set so that in a third of the draws every cached object's
+    # exponent lies in [-760, -700), across the subnormal results of exp
+    # (-708 to -745) and below them, so the draw's whole mass is zeroed;
+    # the other draws spread over [-760, -5]
+    inputs = make_inputs(lifespan=FixedLifespan(100.0))
+    cached = inputs.policy.b > 0
+    draws = 2 * _FAILURE_BLOCK + 300
+    rng = rng_for(8)
+    targets = rng.uniform(-760.0, -5.0, (int(cached.sum()), draws))
+    floored = rng.random(draws) < 1.0 / 3.0
+    targets[:, floored] = rng.uniform(-760.0, _EXP_FLOOR, (int(cached.sum()), int(floored.sum())))
+    coeffs = _coefficient(inputs) * inputs.policy.b[cached]
+    # invert I_T = (2^x - 1)^(-1/2) at x = z / (W * tau)
+    its = -targets / coeffs[:, None]
+    sizes = np.log2(1.0 + its**-2.0) * W * 100.0
+    exponents = _check_against_naive_kernel(inputs, sizes)
+    assert np.all(exponents[:, floored] < _EXP_FLOOR)
+    assert np.any((exponents > -745.0) & (exponents < -708.0))
+    assert np.any(exponents < -746.0)
+    assert np.all(_failure_mass(inputs, sizes)[floored] == 0.0)
+
+
+def test_failure_mass_allocates_no_full_term_matrix():
+    # the whole-matrix kernel held several 2K x draws arrays of terms
+    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    draws = 200_000
+    sizes = draw_expectation_sizes(inputs, COMPARISON_SIZE_LAWS["lognormal"], draws, rng_for(9), "independent")
+    evaluate_expected_success(inputs, sizes)
+    tracemalloc.start()
+    try:
+        evaluate_expected_success(inputs, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full_matrix = int((inputs.policy.b > 0).sum()) * draws * 8
+    assert peak < full_matrix, f"peak {peak} bytes, one 2K x draws matrix is {full_matrix}"
+
+
+def test_evaluation_rejects_sizes_of_another_shape():
+    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    with pytest.raises(ValueError, match="cached objects"):
+        evaluate_expected_success(inputs, np.full((3, 1000), 1e9))
 
 
 # ------------------------------------------------------- coverage scale

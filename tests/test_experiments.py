@@ -23,6 +23,7 @@ from d2dcache import (
     ResultRow,
     build_preset,
     emit_results,
+    expected_success,
     load_config,
     mean_size,
     popularity_weighted_marginals,
@@ -31,6 +32,7 @@ from d2dcache import (
     sample_sizes,
     zipf_popularity,
 )
+from d2dcache.analytics import draw_expectation_sizes
 from d2dcache.experiments import _at_point
 
 
@@ -87,6 +89,8 @@ def test_preset_validation_errors():
         build_preset("validate_audio", alpha=2.0)
     with pytest.raises(ConfigError, match="mc_samples"):
         build_preset("expected_comparison", mc_samples=10)
+    with pytest.raises(ConfigError, match="mc_samples must be a positive integer"):
+        build_preset("expected_comparison", mc_samples=float("nan"))
     with pytest.raises(ConfigError, match="cache_capacity"):
         build_preset("validate_audio", catalogue_size=6, cache_capacity=5)
     with pytest.raises(ConfigError, match="format"):
@@ -304,7 +308,7 @@ def _comparison_flagged(monkeypatch, caplog, analytic, analytic_stderr):
     frequency is 100/2000 and whose expected success carries this error."""
     monkeypatch.setattr(
         experiments,
-        "expected_success",
+        "evaluate_expected_success",
         lambda *a, **kw: MetricEstimate(value=analytic, standard_error=analytic_stderr, sample_count=1000),
     )
     monkeypatch.setattr(
@@ -342,7 +346,7 @@ def test_ordered_comparison_logs_top_sizes(monkeypatch, caplog):
     )
     monkeypatch.setattr(
         experiments,
-        "expected_success",
+        "evaluate_expected_success",
         lambda *a, **kw: MetricEstimate(value=0.5, standard_error=0.01, sample_count=200),
     )
     preset = replace(
@@ -356,6 +360,78 @@ def test_ordered_comparison_logs_top_sizes(monkeypatch, caplog):
     logged = [rec.getMessage() for rec in caplog.records if "top-5" in rec.message]
     assert any("uniform" in msg for msg in logged)
     assert any("weibull" in msg for msg in logged)
+
+
+def _comparison_inputs(preset, law, density, tau):
+    """AnalyticInputs of one comparison point; the sizes are placeholders."""
+    popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
+    return AnalyticInputs(
+        density=density,
+        radio=experiments._radio(preset),
+        fading=ExponentialFading(1.0),
+        lifespan=FixedLifespan(tau),
+        policy=popularity_weighted_marginals(popularity, preset.cache_capacity),
+        catalogue=ContentCatalogue(popularity=popularity, sizes=np.full(preset.catalogue_size, mean_size(law))),
+    )
+
+
+@pytest.mark.parametrize("name", ["expected_comparison", "ordered_comparison"])
+def test_comparison_analytic_column_matches_per_point_expected_success(monkeypatch, name):
+    # one size sample per variant must give exactly what a fresh (seed, 2)
+    # stream and expected_success give at every point, standard error too
+    monkeypatch.setattr(
+        experiments,
+        "estimate_total_success",
+        lambda config: MetricEstimate(value=0.5, standard_error=0.1, sample_count=config.iterations),
+    )
+    checked = []
+    monkeypatch.setattr(experiments, "_check_agreement", lambda row, stderr: checked.append(stderr))
+    preset = replace(
+        build_preset(name, seed=3, iterations=1),
+        sweeps=(("tau_mean", (100.0, 1000.0)), ("density", (1e-4, 1e-2))),
+    )
+    rows = run_preset(preset)
+    assert len(rows) == 4 * len(preset.variants)
+    for row, stderr in zip(rows, checked):
+        law = experiments.COMPARISON_SIZE_LAWS[row.variant]
+        density = row.sweep_value if row.sweep_name == "density" else preset.density
+        tau = row.sweep_value if row.sweep_name == "tau_mean" else preset.fixed_lifespan
+        rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
+        want = expected_success(
+            _comparison_inputs(preset, law, density, tau), law, preset.mc_samples, rng, order=preset.reorder
+        )
+        assert (row.analytic, stderr) == (want.value, want.standard_error)
+
+
+def test_ordered_comparison_logs_first_draw_of_shared_sample(monkeypatch, caplog):
+    monkeypatch.setattr(
+        experiments,
+        "estimate_total_success",
+        lambda config: MetricEstimate(value=0.5, standard_error=0.01, sample_count=100),
+    )
+    preset = replace(
+        build_preset("ordered_comparison", seed=4, iterations=1, mc_samples=1000),
+        sweeps=(("tau_mean", (1000.0,)),),
+        variants=("pareto",),
+    )
+    with caplog.at_level(logging.INFO, logger="d2dcache.experiments"):
+        run_preset(preset)
+    law = experiments.COMPARISON_SIZE_LAWS["pareto"]
+    rng = np.random.default_rng(np.random.SeedSequence((4, 2)))
+    inputs = _comparison_inputs(preset, law, preset.density, 1000.0)
+    sizes = draw_expectation_sizes(inputs, law, 1000, rng, "decreasing")
+    top = np.array2string(sizes[:5, 0] / 1e9, precision=3, separator=", ")
+    assert [rec.getMessage() for rec in caplog.records if "top-5" in rec.message] == [f"top-5 pareto sizes (Gb): {top}"]
+
+
+def test_size_draw_errors_name_the_variant(monkeypatch):
+    def fail(*args):
+        raise ValueError("inverse CDF failed")
+
+    monkeypatch.setattr(experiments, "draw_expectation_sizes", fail)
+    preset = replace(build_preset("expected_comparison", iterations=1), variants=("weibull",))
+    with pytest.raises(ValueError, match=r"inverse CDF failed \(drawing sizes for variant='weibull'\)"):
+        run_preset(preset)
 
 
 # ------------------------------------------------------------- seed contract
