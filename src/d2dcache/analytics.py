@@ -23,33 +23,36 @@ double-exponentially at both ends. The same rule on 12 panels gives an
 error estimate; a value that is not finite or whose estimate exceeds 1e-8
 relative raises ArithmeticError.
 
-Expected success is a Monte Carlo over size draws in two steps:
-draw_expectation_sizes draws the sizes once, and evaluate_expected_success
-averages each draw's failure mass sum_j a_j exp(-c b_j I_T(z_j)) over the
-cached objects at one density and lifespan, so a sweep reuses one sample
-at every point. I_T and the failure mass are evaluated in blocks of
-_FAILURE_BLOCK draws, so every temporary stays cache-sized: the terms go
-through buffers allocated once per call, never a whole 2K x draws matrix.
-Exponents are clamped at _EXP_FLOOR = -700 and their terms set to 0,
-because numpy's exp takes a slow path on results below about e^-708
-(subnormal or zero), 35 to 150 times slower than just above it in
-timings over 2 million values. A zeroed term is at most e^-700 < 1e-304,
-so it cannot move a draw's failure mass once that mass exceeds about
-1e-288, nor the returned value: that adds the uncached popularity mass,
-and when nothing is uncached any failure mass this small leaves the
-value at 1.
+Expected success averages over random file sizes, and since success is
+a popularity-weighted sum of per-object terms, only each cached object's
+marginal size law matters: the size law itself when sizes are drawn
+independently, and the law of an order statistic when sizes are sorted
+against popularity, since rank k of F sorted uniforms is Beta(k, F-k+1)
+(David & Nagaraja, Order Statistics). Each marginal is an integral over
+u in (0, 1) through the law's inverse CDF, taken by the trapezoid rule in
+L = logit(u) with step h = 1/8 on [-36, 36]: 577 nodes shared by every
+object, with weights u(1-u) h, times the Beta density for an order
+statistic. In L the integrand decays exponentially at both ends, where
+the trapezoid rule converges geometrically (Trefethen & Weideman, SIAM
+Review 2014); beyond |L| = 36 less than e^-36 of u-mass is left out, and
+the integrand lies in [0, 1]. The same rule on every other node (step
+1/4) gives an error estimate; a value that is not finite or whose
+estimate exceeds 1e-6 absolute raises ArithmeticError. size_rule builds
+the nodes and weights once per size law and ordering, and
+evaluate_expected_success takes I_T at the nodes at one density and
+lifespan, so a sweep reuses one rule at every point.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaln, expit, log_expit
 
 from .channel import FadingLaw, RadioParams, fading_moment
-from .content import ContentCatalogue, SizeLaw, order_sizes
+from .content import ORDERING_MODES, ContentCatalogue, SizeLaw
 from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
@@ -62,13 +65,12 @@ _MOMENT_RTOL = 1e-8
 # Rows of the exponential-lifespan kernel evaluated together: bounds its
 # temporaries to _MOMENT_CHUNK x 384 values whatever the number of draws.
 _MOMENT_CHUNK = 64
-# Draws per block of the size expectation: bounds the buffers of I_T and
-# the failure mass to 2K x _FAILURE_BLOCK values (320 KB at 2K = 10),
-# whatever the number of draws.
-_FAILURE_BLOCK = 4096
-# Failure-mass exponents below this give terms of 0 (see the module
-# docstring): numpy's exp takes a slow path on results below about e^-708.
-_EXP_FLOOR = -700.0
+# Trapezoid rule of the size expectation in L = logit(u): nodes at
+# multiples of _LOGIT_STEP on [-_LOGIT_SPAN, _LOGIT_SPAN], and the largest
+# absolute error estimate accepted from it.
+_LOGIT_SPAN = 36.0
+_LOGIT_STEP = 0.125
+_SIZE_ATOL = 1e-6
 
 
 def _composite_gauss_legendre(panels: int):
@@ -280,99 +282,94 @@ def total_success(inputs: AnalyticInputs) -> MetricEstimate:
     return MetricEstimate(value=_clamp(success))
 
 
-def draw_expectation_sizes(
-    inputs: AnalyticInputs, size_law: SizeLaw, mc_samples: int, rng: np.random.Generator | None, order: str
-) -> np.ndarray:
-    """The size draws behind expected_success, one column per draw.
+@dataclass(frozen=True)
+class SizeRule:
+    """Quadrature nodes and weights of expected_success for one size law and ordering.
 
-    With order "independent" the result has one row of mc_samples sizes,
-    each shared by every cached object (common random numbers).
-    Otherwise each of max(200, mc_samples // F) draws is a whole catalogue
-    of F sizes, assigned to popularity ranks per order (see
-    content.order_sizes), and the result keeps one row per cached object.
-    The draws depend only on the catalogue size and the placement, so one
-    sample serves every density and lifespan of a sweep.
+    sizes holds the nodes in bits. weights has one column per node and
+    either one row shared by every cached object (order "independent") or
+    one row per cached object, in rank order.
     """
-    if not isinstance(mc_samples, numbers.Integral):
-        raise ValueError(f"mc_samples must be an integer, got {mc_samples!r}")
-    if mc_samples < 1000:
-        raise ValueError("mc_samples must be at least 1000")
-    rng = np.random.default_rng() if rng is None else rng
+
+    law: SizeLaw
+    order: str
+    sizes: np.ndarray
+    weights: np.ndarray
+
+
+def size_rule(inputs: AnalyticInputs, size_law: SizeLaw, order: str) -> SizeRule:
+    """The trapezoid rule in logit(u) over each cached object's marginal size law.
+
+    The nodes are size_law.inverse_cdf(expit(L)) at L = n h over
+    [-_LOGIT_SPAN, _LOGIT_SPAN], h = _LOGIT_STEP, with weights u(1-u) h.
+    With order "increasing" (or "decreasing") the object of popularity
+    rank j (0-based) gets the (j+1)-th smallest (largest) of F sizes, whose
+    u is Beta(k, F-k+1) with k = j+1 (F-j), so its weights are also
+    multiplied by that Beta density. The rule depends only on the catalogue
+    size and the placement, so one rule serves every density and lifespan.
+    """
+    if order not in ORDERING_MODES:
+        raise ValueError(f"unknown ordering mode {order!r}; expected one of {ORDERING_MODES}")
+    half = round(_LOGIT_SPAN / _LOGIT_STEP)
+    logit = np.arange(-half, half + 1) * _LOGIT_STEP
+    log_u, log_v = log_expit(logit), log_expit(-logit)  # log u, log(1 - u)
+    sizes = np.asarray(size_law.inverse_cdf(expit(logit)), dtype=float)
     if order == "independent":
-        return np.asarray(size_law.inverse_cdf(rng.random(mc_samples)), dtype=float)[None, :]
-    draws = max(200, mc_samples // inputs.catalogue.F)
-    u = rng.random((draws, inputs.catalogue.F))
-    return order_sizes(np.asarray(size_law.inverse_cdf(u), dtype=float), order)[:, inputs.policy.b > 0].T
+        log_w = (log_u + log_v)[None, :]
+    else:
+        F = inputs.catalogue.F
+        ranks = np.flatnonzero(inputs.policy.b > 0)
+        k = (ranks + 1 if order == "increasing" else F - ranks)[:, None]
+        log_w = k * log_u + (F - k + 1) * log_v - betaln(k, F - k + 1)
+    return SizeRule(law=size_law, order=order, sizes=sizes, weights=_LOGIT_STEP * np.exp(log_w))
 
 
-def _failure_mass(inputs: AnalyticInputs, sizes: np.ndarray) -> np.ndarray:
-    """Per draw, the failure mass sum_j a_j exp(-c b_j I_T(z_j)) of the cached objects.
+def evaluate_expected_success(inputs: AnalyticInputs, rule: SizeRule) -> MetricEstimate:
+    """Success averaged over popularity and the marginal size laws of rule.
 
-    I_T and the terms are evaluated in blocks of _FAILURE_BLOCK draws with
-    reused buffers, sized for at most that many draws; exponents below
-    _EXP_FLOOR give terms of 0 (see the module docstring).
+    Sums a_j w_jn (1 - exp(-c b_j I_T(z_n))) over the cached objects j and
+    the nodes n, the success mass taken directly as in total_success. The
+    sum over every other node, at twice the weight, is the error estimate;
+    raises ArithmeticError, naming the law and ordering, when the value is
+    not finite or the two differ by more than _SIZE_ATOL.
     """
     cached = inputs.policy.b > 0
-    sizes = np.asarray(sizes, dtype=float)
-    if sizes.ndim != 2 or sizes.shape[0] not in (1, int(cached.sum())) or sizes.shape[1] < 2:
-        raise ValueError(f"sizes of shape {sizes.shape} do not fit {int(cached.sum())} cached objects")
-    draws = sizes.shape[1]
-    neg_coeffs = -(_coefficient(inputs) * inputs.policy.b[cached])[:, None]
-    a_cached = inputs.catalogue.popularity.a[cached]
-    per_draw = np.empty(draws)
-    block = min(_FAILURE_BLOCK, draws)
-    terms = np.empty(neg_coeffs.size * block)
-    kept = np.empty(terms.size, dtype=bool)
-    for lo in range(0, draws, block):
-        width = min(block, draws - lo)
-        t = terms[: neg_coeffs.size * width].reshape(-1, width)
-        keep = kept[: t.size].reshape(t.shape)
-        its = lifespan_moment(
-            inputs.lifespan, sizes[:, lo : lo + width], inputs.radio.bandwidth, inputs.radio.pathloss_exponent
+    if rule.weights.shape[0] not in (1, int(cached.sum())):
+        raise ValueError(f"rule weights of shape {rule.weights.shape} do not fit {int(cached.sum())} cached objects")
+    its = lifespan_moment(inputs.lifespan, rule.sizes, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
+    exponents = (_coefficient(inputs) * inputs.policy.b[cached])[:, None] * its
+    terms = inputs.catalogue.popularity.a[cached, None] * rule.weights * -np.expm1(-exponents)
+    value = float(terms.sum())
+    error = abs(value - 2.0 * float(terms[:, ::2].sum()))
+    if not error <= _SIZE_ATOL:
+        raise ArithmeticError(
+            f"size expectation failed for {rule.law!r}, order={rule.order!r}: "
+            f"value={value!r}, error estimate={error!r}"
         )
-        np.multiply(neg_coeffs, its, out=t)
-        np.greater_equal(t, _EXP_FLOOR, out=keep)
-        np.maximum(t, _EXP_FLOOR, out=t)
-        np.exp(t, out=t)
-        np.multiply(t, keep, out=t)
-        np.matmul(a_cached, t, out=per_draw[lo : lo + width])
-    return per_draw
-
-
-def evaluate_expected_success(inputs: AnalyticInputs, sizes: np.ndarray) -> MetricEstimate:
-    """Success averaged over popularity and the size draws of sizes.
-
-    sizes comes from draw_expectation_sizes: one shared row, or one row
-    per cached object, and one column per draw. The standard error and
-    sample count are those of the draws.
-    """
-    per_draw = _failure_mass(inputs, sizes)
-    uncached = ~(inputs.policy.b > 0)
-    failure = float(inputs.catalogue.popularity.a[uncached].sum()) + float(per_draw.mean())
-    stderr = float(per_draw.std(ddof=1) / math.sqrt(per_draw.size))
-    return MetricEstimate(value=_clamp(1.0 - failure), standard_error=stderr, sample_count=per_draw.size)
+    return MetricEstimate(value=_clamp(value))
 
 
 def expected_success(
     inputs: AnalyticInputs,
     size_law: SizeLaw,
-    mc_samples: int = 100_000,
+    mc_samples: int | None = None,
     rng: np.random.Generator | None = None,
     order: str = "independent",
 ) -> MetricEstimate:
     """Service success averaged over both popularity and random file sizes.
 
     Sizes enter only through I_T, so the expectation over the size law is
-    estimated by Monte Carlo over the draws of draw_expectation_sizes (see
-    there for order); the catalogue's realized sizes are ignored. This is
-    evaluate_expected_success of those draws, so a sweep can draw once and
-    evaluate at each point. I_T and the failure mass are evaluated in
-    blocks of _FAILURE_BLOCK draws, and terms below e^-700 count as 0:
-    that avoids numpy's slow exp path and leaves the value exact (see the
-    module docstring). The returned standard error and sample count are
-    those of the draws, so they reflect the size sampling only.
+    a 1-D integral per cached object over its marginal size law, with
+    sizes ordered against popularity per order (see content.order_sizes).
+    This is evaluate_expected_success of size_rule; the catalogue's
+    realized sizes are ignored. The result is a closed-form estimate:
+    standard error 0, sample count 0.
+
+    mc_samples and rng are accepted and unused. They remain only because
+    bench/workloads.py passes them; the benchmark revision of ROADMAP
+    item 1 lets them go.
     """
-    return evaluate_expected_success(inputs, draw_expectation_sizes(inputs, size_law, mc_samples, rng, order))
+    return evaluate_expected_success(inputs, size_rule(inputs, size_law, order))
 
 
 def coverage_radius_scale(inputs: AnalyticInputs) -> float:

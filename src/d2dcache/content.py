@@ -1,8 +1,8 @@
 """Content catalogue: Zipf popularity and file-size distributions.
 
-Sizes are always in bits. Each size law exposes its inverse CDF so that
-catalogue sampling and the size-expectation Monte Carlo can share one
-uniform stream (common random numbers).
+Sizes are always in bits. Each size law exposes its inverse CDF, through
+which catalogue sampling, the simulator's order statistics and the
+size-expectation quadrature all map uniforms to sizes.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ Default experiment constants (all presets start from these):
     VIDEO_TAU_GRID            100..1000  mean-lifespan sweep, video (s)
     COMPARISON_LIFESPAN       1000.0     fixed lifespan of the density sweep
     DENSITY_GRID              1e-4..1e-2 density sweep (log-spaced)
-    MC_SIZE_SAMPLES           200000     size draws for the expected metric
     ========================  =========  =====================================
 
 One sweep runner, run_preset, serves the three preset kinds; they differ
@@ -35,16 +34,13 @@ only in how each variant is set up:
 - comparison: a fixed lifespan and, per variant, a size law from which
   the simulator draws each requested object's size, ordered per reorder;
   the closed form is expected_success over that law with the same
-  ordering.
+  ordering. Each variant builds its size rule once, before the sweep, and
+  every point of the variant evaluates that one rule.
 
-Seed derivation: a preset's integer seed S feeds three independent
+Seed derivation: a preset's integer seed S feeds two independent
 sub-streams — (S, 1) for the catalogue size sample of the validate and
-correlation presets, (S, 2) for the size-expectation Monte Carlo, and
-(S, 3, sweep, point, variant) as the simulator master seed. Each
-comparison variant draws its size sample from a fresh (S, 2) stream once,
-before the sweep, and every point of the variant evaluates that one
-sample; an ordered preset logs the top-5 sizes of the sample's first
-catalogue. The correlation preset deliberately shares
+correlation presets, and (S, 3, sweep, point, variant) as the simulator
+master seed. The correlation preset deliberately shares
 (S, 3, sweep, point) across its variants. The simulator draws each
 block's requested ranks first, so the variants see the same request
 sequence; the transmitter fields that follow differ, because each
@@ -69,8 +65,8 @@ import numpy as np
 from .analytics import (
     AnalyticInputs,
     coverage_radius_scale,
-    draw_expectation_sizes,
     evaluate_expected_success,
+    size_rule,
     total_success,
 )
 from .channel import ExponentialFading, RadioParams
@@ -110,7 +106,6 @@ VIDEO_TAU_GRID = tuple(np.linspace(100.0, 1000.0, 10))
 COMPARISON_LIFESPAN = 1000.0
 COMPARISON_CATALOGUE_SIZE = 200
 DENSITY_GRID = tuple(np.logspace(-4, -2, 7))
-MC_SIZE_SAMPLES = 200_000
 
 COMPARISON_SIZE_LAWS = {
     "uniform": UniformSize(0.05e9, 2e9),
@@ -129,7 +124,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """A fully resolved experiment: sweeps, variants and model parameters."""
+    """A fully resolved experiment: sweeps, variants and model parameters.
+
+    mc_samples is validated and unused: expected_success is deterministic.
+    It remains only because bench/workloads.py reads it, and goes with the
+    benchmark revision of ROADMAP item 1.
+    """
 
     name: str
     kind: str  # validate | correlation | comparison
@@ -147,7 +147,7 @@ class ExperimentPreset:
     fixed_lifespan: float = COMPARISON_LIFESPAN
     iterations: int = ITERATIONS
     seed: int = 0
-    mc_samples: int = MC_SIZE_SAMPLES
+    mc_samples: int = 200_000
     parallelism: int = 1
     window_half_width: float | None = None
     reorder: str = "independent"
@@ -266,7 +266,6 @@ _OVERRIDE_TYPES = {
     "iterations": int,
     "seed": int,
     "parallelism": int,
-    "mc_samples": int,
     "window_half_width": float,
     "density": float,
     "power": float,
@@ -411,16 +410,14 @@ def _wilson_interval(p_hat: float, n: int, z: float) -> tuple:
     return center - half, center + half
 
 
-def _check_agreement(row: ResultRow, analytic_stderr: float) -> None:
+def _check_agreement(row: ResultRow) -> None:
     """Warn when the analytic value lies outside the Wilson score interval
-    at 4 standard errors around the simulated frequency, widened by 4
-    standard errors of the analytic value's own Monte Carlo."""
+    at 4 standard errors around the simulated frequency."""
     lo, hi = _wilson_interval(row.simulated, row.n_iter, 4.0)
-    slack = 4.0 * analytic_stderr
-    if not lo - slack <= row.analytic <= hi + slack:
+    if not lo <= row.analytic <= hi:
         log.warning(
             "simulated value %.4g more than 4 standard errors from analytic %.4g at %s=%s (%s): "
-            "Wilson score interval [%.4g, %.4g] over %d iterations, analytic standard error %.3g",
+            "Wilson score interval [%.4g, %.4g] over %d iterations",
             row.simulated,
             row.analytic,
             row.sweep_name,
@@ -429,7 +426,6 @@ def _check_agreement(row: ResultRow, analytic_stderr: float) -> None:
             lo,
             hi,
             row.n_iter,
-            analytic_stderr,
         )
 
 
@@ -444,8 +440,7 @@ def run_preset(preset: ExperimentPreset) -> list:
 
     Logs a warning for each row whose analytic value lies outside the
     Wilson score interval at 4 standard errors around the simulated
-    frequency of its n_iter requests, widened by 4 analytic standard
-    errors.
+    frequency of its n_iter requests.
     """
     radio = _radio(preset)
     popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
@@ -468,30 +463,22 @@ def run_preset(preset: ExperimentPreset) -> list:
     hw = preset.window_half_width or max(
         required_half_width(inputs_at(preset.density, longest, base)) for _, base, _, _ in variants
     )
-    # one size sample per comparison variant, shared by all its points
-    samples = []
+    # one size rule per comparison variant, shared by all its points
+    rules = []
     for variant, base, order, law in variants:
-        if law is None:
-            samples.append(None)
-            continue
-        with _annotated(f"drawing sizes for variant={variant!r}"):
-            rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
-            inputs = inputs_at(preset.density, longest, base)
-            samples.append(draw_expectation_sizes(inputs, law, preset.mc_samples, rng, order))
-        if order != "independent":
-            top = samples[-1][:5, 0]
-            log.info("top-5 %s sizes (Gb): %s", variant, np.array2string(top / 1e9, precision=3, separator=", "))
+        with _annotated(f"building the size rule for variant={variant!r}"):
+            rules.append(None if law is None else size_rule(inputs_at(preset.density, longest, base), law, order))
     catalogues = [apply_ordering(base, order) for _, base, order, _ in variants]
 
     rows = []
     for s_idx, p_idx, sweep_name, value, density, tau in points:
-        for v_idx, ((variant, _, order, law), catalogue, sizes) in enumerate(zip(variants, catalogues, samples)):
+        for v_idx, ((variant, _, order, law), catalogue, rule) in enumerate(zip(variants, catalogues, rules)):
             with _at_point(sweep_name, value, variant):
                 inputs = inputs_at(density, tau, catalogue)
                 if law is None:
                     analytic = total_success(inputs)
                 else:
-                    analytic = evaluate_expected_success(inputs, sizes)
+                    analytic = evaluate_expected_success(inputs, rule)
                 # correlation variants share one stream per sweep point, so
                 # their curves are coupled through a common request sequence
                 key = (s_idx, p_idx) if preset.kind == "correlation" else (s_idx, p_idx, v_idx)
@@ -517,7 +504,7 @@ def run_preset(preset: ExperimentPreset) -> list:
                     seed=preset.seed,
                 )
             )
-            _check_agreement(rows[-1], analytic.standard_error)
+            _check_agreement(rows[-1])
     return rows
 
 
@@ -559,7 +546,6 @@ def _build_parser() -> _ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--iterations", type=int, default=None)
     run.add_argument("--parallelism", type=int, default=None)
-    run.add_argument("--mc-samples", type=int, default=None, dest="mc_samples")
     run.add_argument("--out", default=None, help="output path (default <preset>.<format>)")
     run.add_argument("--format", choices=("csv", "json"), default=None)
 
@@ -583,7 +569,6 @@ def _cmd_run(args) -> int:
         "seed": args.seed,
         "iterations": args.iterations,
         "parallelism": args.parallelism,
-        "mc_samples": args.mc_samples,
         "out_path": args.out,
         "out_format": args.format,
     }

@@ -283,6 +283,21 @@ def test_expected_success_law_ordering():
     print(f"smallest adjacent-law separation: {worst:.1f} paired standard errors")
 
 
+@pytest.mark.criterion(5, "size-law ordering at every sweep point", part="exact")
+def test_expected_success_law_ordering_on_preset_column():
+    # the exact analytic column of expected_comparison, whose sizes are
+    # independent of popularity, at each of its 17 points
+    preset = build_preset("expected_comparison")
+    sweeps = dict(preset.sweeps)
+    points = [(preset.density, tau) for tau in sweeps["tau_mean"]]
+    points += [(d, preset.fixed_lifespan) for d in sweeps["density"]]
+    assert len(points) == 17
+    for density, tau in points:
+        inputs = _comparison_inputs(density, tau)
+        values = [expected_success(inputs, experiments.COMPARISON_SIZE_LAWS[name]).value for name in LAW_ORDER]
+        assert all(lo < hi for lo, hi in zip(values, values[1:])), (density, tau, values)
+
+
 # ======================================================================= 6
 
 
@@ -339,7 +354,7 @@ def test_degenerate_size_law_equals_closed_form(video_inputs):
     inputs = replace(video_inputs, lifespan=FixedLifespan(1000.0))
     point = UniformSize(1e9, 1e9)
     fixed = replace(inputs, catalogue=replace(inputs.catalogue, sizes=np.full(100, 1e9)))
-    est = expected_success(fixed, point, mc_samples=2000, rng=np.random.default_rng(3))
+    est = expected_success(fixed, point)
     assert abs(est.value - total_success(fixed).value) <= 1e-12
 
 
@@ -373,7 +388,7 @@ def test_ordered_comparison_csv_reproducible_across_workers(tmp_path):
     # sizes redrawn per request as order statistics; 600 requests span
     # three blocks, the last one partial
     outputs = _rerun_bytes(
-        tmp_path, "[ordered_comparison]\niterations = 600\nseed = 5\ntau_grid = 100, 1000\nmc_samples = 1000\n"
+        tmp_path, "[ordered_comparison]\niterations = 600\nseed = 5\ntau_grid = 100, 1000\n"
     )
     assert outputs[0] == outputs[1], "same seed, same worker count"
     assert outputs[0] == outputs[2], "same seed, different worker count"

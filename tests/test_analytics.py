@@ -1,14 +1,15 @@
 import math
 import os
+import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 import d2dcache
 from d2dcache import (
@@ -30,14 +31,13 @@ from d2dcache import (
     total_success,
     zipf_popularity,
 )
+import d2dcache.analytics as analytics
 from d2dcache.analytics import (
-    _EXP_FLOOR,
-    _FAILURE_BLOCK,
+    SizeRule,
     _coefficient,
     _exponential_moment,
-    _failure_mass,
-    draw_expectation_sizes,
     evaluate_expected_success,
+    size_rule,
 )
 from d2dcache.experiments import COMPARISON_SIZE_LAWS
 
@@ -190,10 +190,9 @@ def test_exponential_moment_tiny_threshold_matches_asymptote():
 def test_expected_success_under_exponential_lifespan_for_every_size_law(law):
     # lognormal and Weibull draws reach sizes far below a bit
     inputs = make_inputs(lifespan=ExponentialLifespan(300.0))
-    rng = np.random.default_rng(np.random.SeedSequence((0, 2)))
-    est = expected_success(inputs, COMPARISON_SIZE_LAWS[law], mc_samples=1000, rng=rng)
+    est = expected_success(inputs, COMPARISON_SIZE_LAWS[law])
     assert math.isfinite(est.value) and 0.0 <= est.value <= 1.0
-    assert math.isfinite(est.standard_error)
+    assert (est.standard_error, est.sample_count) == (0.0, 0)
 
 
 _NONFINITE_CALLS = {
@@ -361,32 +360,19 @@ def test_scaled_down_marginals_reduce_success():
 def test_expected_success_with_point_mass_matches_total():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     point = UniformSize(1e9, 1e9)
-    est = expected_success(inputs, point, mc_samples=2000, rng=rng_for(3))
-    assert est.value == pytest.approx(total_success(inputs).value, abs=1e-12)
-    assert est.standard_error == pytest.approx(0.0, abs=1e-15)
+    for order in ("independent", "increasing", "decreasing"):
+        est = expected_success(inputs, point, order=order)
+        assert est.value == pytest.approx(total_success(inputs).value, abs=1e-12)
+        assert (est.standard_error, est.sample_count) == (0.0, 0)
 
 
-def test_expected_success_requires_enough_samples():
-    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
-    with pytest.raises(ValueError):
-        expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=999)
-
-
-@pytest.mark.parametrize("mc_samples", [1500.5, 2000.0, math.nan, math.inf, "5000"])
-def test_expected_success_requires_integer_samples(mc_samples):
-    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
-    with pytest.raises(ValueError, match="mc_samples"):
-        expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=mc_samples, rng=rng_for(3))
-
-
-def test_expected_success_deterministic_given_stream():
+def test_expected_success_ignores_samples_and_stream():
+    # mc_samples and rng stay in the signature, unused
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     law = UniformSize(5e7, 2e9)
-    first = expected_success(inputs, law, mc_samples=5000, rng=rng_for(4))
-    second = expected_success(inputs, law, mc_samples=5000, rng=rng_for(4))
-    assert first.value == second.value
-    assert first.standard_error == second.standard_error
-    assert first.sample_count == 5000
+    exact = expected_success(inputs, law)
+    assert expected_success(inputs, law, 5000, rng_for(4)) == exact
+    assert expected_success(inputs, law, mc_samples=1000, rng=None) == exact
 
 
 def test_expected_success_tracks_direct_average():
@@ -394,122 +380,126 @@ def test_expected_success_tracks_direct_average():
     # resampled from the law (same uniforms via inverse transform)
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     law = UniformSize(5e7, 2e9)
-    est = expected_success(inputs, law, mc_samples=4000, rng=rng_for(5))
-    u = rng_for(5).random(4000)
+    est = expected_success(inputs, law)
     direct = []
-    for ui in u[:400]:
+    for ui in rng_for(5).random(400):
         sizes = np.full(100, float(law.inverse_cdf(ui)))
         direct.append(total_success(replace(inputs, catalogue=replace(inputs.catalogue, sizes=sizes))).value)
     direct = np.asarray(direct)
-    se = direct.std(ddof=1) / math.sqrt(direct.size)
-    assert abs(est.value - direct.mean()) < 3 * math.hypot(se, est.standard_error)
+    assert abs(est.value - direct.mean()) < 3 * direct.std(ddof=1) / math.sqrt(direct.size)
 
 
-@pytest.mark.parametrize("mc_samples", [5000, 30_000])
-@pytest.mark.parametrize("lifespan", [FixedLifespan(500.0), ExponentialLifespan(500.0)], ids=["fixed", "exponential"])
-@pytest.mark.parametrize("order", ["increasing", "decreasing"])
-def test_ordered_expectation_matches_sorted_catalogue_draws(order, lifespan, mc_samples):
-    # oracle: from the same generator state, draw each catalogue row by
-    # row, sort it by hand and average total_success over the draws
-    inputs = make_inputs(lifespan=lifespan)
-    law = UniformSize(5e7, 2e9)
-    est = expected_success(inputs, law, mc_samples=mc_samples, rng=rng_for(6), order=order)
-    draws = max(200, mc_samples // 100)
-    rng = rng_for(6)
-    direct = []
-    for _ in range(draws):
-        sizes = np.sort(law.inverse_cdf(rng.random(100)))
-        sizes = sizes if order == "increasing" else sizes[::-1]
-        catalogue = ContentCatalogue(popularity=inputs.catalogue.popularity, sizes=sizes, ordering_mode=order)
-        direct.append(total_success(replace(inputs, catalogue=catalogue)).value)
-    assert est.sample_count == draws
-    assert est.value == pytest.approx(math.fsum(direct) / draws, rel=1e-12)
-    assert est.standard_error == pytest.approx(np.std(direct, ddof=1) / math.sqrt(draws), rel=1e-9)
+ORDERS = ("independent", "increasing", "decreasing")
+SIZE_DRAWS = 1_000_000
+RULE_TAU = 300.0
 
 
-# ------------------------------------------------- blocked failure mass
+@pytest.fixture(scope="module")
+def tabulated_exponential_moment():
+    """I_T(z) under an exponential lifespan of mean RULE_TAU, as a cubic
+    spline in log-log through the package's kernel on a grid of x0.
 
-
-def _check_against_naive_kernel(inputs, sizes):
-    """The blocked kernel against the whole-matrix a @ exp(exponents).
-
-    Per draw, it must equal the whole-matrix sum with the terms below
-    e^_EXP_FLOOR zeroed, bit for bit, and differ from the plain sum by at
-    most those terms. Value, standard error and count must be bit-equal.
-    Returns the exponents -c b_j I_T(z), one row per cached object.
+    The kernel costs about 20 us a size, too slow for 10^6 sizes a case.
+    The spline is checked against the kernel at 2000 random x0 (relative
+    error about 2e-9, far below the Monte Carlo's); below the grid I_T
+    exceeds 1e13, so success is 1, and above it I_T < 1e-50 is taken as 0.
     """
-    cached = inputs.policy.b > 0
-    a = inputs.catalogue.popularity.a
-    its = lifespan_moment(inputs.lifespan, sizes, W, ALPHA)
-    exponents = -(_coefficient(inputs) * inputs.policy.b[cached])[:, None] * its
-    naive = a[cached] @ np.exp(exponents)
-    zeroed = a[cached] @ np.where(exponents < _EXP_FLOOR, 0.0, np.exp(exponents))
-    per_draw = _failure_mass(inputs, sizes)
-    assert per_draw.tobytes() == zeroed.tobytes()
-    assert np.all(np.abs(per_draw - naive) <= a[cached].sum() * math.exp(_EXP_FLOOR))
-    est = evaluate_expected_success(inputs, sizes)
-    failure = float(a[~cached].sum()) + float(naive.mean())
-    assert est.value == min(max(1.0 - failure, 0.0), 1.0)
-    assert est.standard_error == float(naive.std(ddof=1) / math.sqrt(naive.size))
-    assert est.sample_count == naive.size
-    return exponents
+    s = np.arange(-60.0, 9.25, 0.02)
+    spline = CubicSpline(s, np.log(_exponential_moment(np.exp(s), ALPHA)[0]))
+    x = np.exp(rng_for(11).uniform(s[0], s[-1], 2000))
+    np.testing.assert_allclose(np.exp(spline(np.log(x))), _exponential_moment(x, ALPHA)[0], rtol=1e-8)
+
+    def moment(z):
+        log_x = np.log(z / (W * RULE_TAU))
+        return np.where(log_x > s[-1], 0.0, np.exp(spline(np.maximum(log_x, s[0]))))
+
+    return moment
 
 
-@pytest.mark.parametrize("draws", [1000, 3 * _FAILURE_BLOCK + 517], ids=["below_one_block", "ragged_blocks"])
-@pytest.mark.parametrize("order", ["independent", "decreasing"])
+def _monte_carlo_success(inputs, law, order, moment, rng):
+    """Per-draw success of an independent Monte Carlo over SIZE_DRAWS sizes.
+
+    With order "independent" each draw is one size, shared by every cached
+    object; otherwise each draw is a whole catalogue of F sizes, sorted by
+    hand and assigned to popularity ranks (SIZE_DRAWS // F catalogues).
+    """
+    a, b = inputs.catalogue.popularity.a, inputs.policy.b
+    cached = np.flatnonzero(b > 0)
+    F = inputs.catalogue.F
+    if order == "independent":
+        its = np.broadcast_to(moment(law.inverse_cdf(rng.random(SIZE_DRAWS))), (cached.size, SIZE_DRAWS))
+    else:
+        catalogues = np.sort(law.inverse_cdf(rng.random((SIZE_DRAWS // F, F))), axis=1)
+        its = moment((catalogues if order == "increasing" else catalogues[:, ::-1])[:, cached].T)
+    success = np.zeros(its.shape[1])
+    for j, row in zip(cached, its):
+        success += a[j] * -np.expm1(-_coefficient(inputs) * b[j] * row)
+    return success
+
+
+@pytest.mark.parametrize("lifespan", ["fixed", "exponential"])
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("law", sorted(COMPARISON_SIZE_LAWS))
-def test_blocked_failure_mass_matches_naive_kernel(law, order, draws):
-    inputs = make_inputs(density=1e-2, lifespan=FixedLifespan(100.0))
-    # independent: one size a draw; ordered: one catalogue of F = 100 a draw
-    mc_samples = draws if order == "independent" else draws * inputs.catalogue.F
-    sizes = draw_expectation_sizes(inputs, COMPARISON_SIZE_LAWS[law], mc_samples, rng_for(7), order)
-    assert sizes.shape[1] == draws
-    _check_against_naive_kernel(inputs, sizes)
+def test_size_rule_matches_monte_carlo(law, order, lifespan, tabulated_exponential_moment):
+    # F = 20 keeps 5 x 10^4 sorted catalogues cheap; rank k of 20 is a
+    # broad Beta(k, 21 - k), so a wrong k or density would show
+    if lifespan == "fixed":
+        inputs = make_inputs(F=20, lifespan=FixedLifespan(RULE_TAU))
+        moment = lambda z: lifespan_moment_fixed(z, RULE_TAU, W, ALPHA)  # noqa: E731
+    else:
+        inputs = make_inputs(F=20, lifespan=ExponentialLifespan(RULE_TAU))
+        moment = tabulated_exponential_moment
+    size_law = COMPARISON_SIZE_LAWS[law]
+    # one stream per case, so that the 30 checks are independent
+    case = (sorted(COMPARISON_SIZE_LAWS).index(law), ORDERS.index(order), lifespan == "fixed")
+    rng = np.random.default_rng(np.random.SeedSequence((95, 12, *case)))
+    draws = _monte_carlo_success(inputs, size_law, order, moment, rng)
+    se = draws.std(ddof=1) / math.sqrt(draws.size)
+    exact = expected_success(inputs, size_law, order=order).value
+    # n draws do not see an event rarer than about 1/n, so their spread
+    # cannot bound its share: allow 3/n (the rule of three) on top of 4 SE
+    assert abs(exact - draws.mean()) <= 4 * se + 3 / draws.size, (exact, draws.mean(), se)
 
 
-def test_blocked_failure_mass_straddles_exp_floor():
-    # sizes set so that in a third of the draws every cached object's
-    # exponent lies in [-760, -700), across the subnormal results of exp
-    # (-708 to -745) and below them, so the draw's whole mass is zeroed;
-    # the other draws spread over [-760, -5]
-    inputs = make_inputs(lifespan=FixedLifespan(100.0))
-    cached = inputs.policy.b > 0
-    draws = 2 * _FAILURE_BLOCK + 300
-    rng = rng_for(8)
-    targets = rng.uniform(-760.0, -5.0, (int(cached.sum()), draws))
-    floored = rng.random(draws) < 1.0 / 3.0
-    targets[:, floored] = rng.uniform(-760.0, _EXP_FLOOR, (int(cached.sum()), int(floored.sum())))
-    coeffs = _coefficient(inputs) * inputs.policy.b[cached]
-    # invert I_T = (2^x - 1)^(-1/2) at x = z / (W * tau)
-    its = -targets / coeffs[:, None]
-    sizes = np.log2(1.0 + its**-2.0) * W * 100.0
-    exponents = _check_against_naive_kernel(inputs, sizes)
-    assert np.all(exponents[:, floored] < _EXP_FLOOR)
-    assert np.any((exponents > -745.0) & (exponents < -708.0))
-    assert np.any(exponents < -746.0)
-    assert np.all(_failure_mass(inputs, sizes)[floored] == 0.0)
+@pytest.mark.parametrize("lifespan", [FixedLifespan(100.0), ExponentialLifespan(100.0)], ids=["fixed", "exponential"])
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("law", sorted(COMPARISON_SIZE_LAWS))
+def test_size_rule_converged_at_its_step(monkeypatch, law, order, lifespan):
+    # the rule at h = 1/8 against the same rule at h = 1/32
+    for density in (1e-4, 1e-2):
+        inputs = make_inputs(F=200, density=density, lifespan=lifespan)
+        size_law = COMPARISON_SIZE_LAWS[law]
+        coarse = expected_success(inputs, size_law, order=order).value
+        with monkeypatch.context() as patch:
+            patch.setattr(analytics, "_LOGIT_STEP", 1.0 / 32.0)
+            fine_rule = size_rule(inputs, size_law, order)
+            fine = evaluate_expected_success(inputs, fine_rule).value
+        assert fine_rule.sizes.size == 2305
+        assert abs(coarse - fine) <= 1e-12, (density, coarse, fine)
 
 
-def test_failure_mass_allocates_no_full_term_matrix():
-    # the whole-matrix kernel held several 2K x draws arrays of terms
+def test_size_rule_raises_when_error_estimate_exceeds_tolerance(monkeypatch):
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
-    draws = 200_000
-    sizes = draw_expectation_sizes(inputs, COMPARISON_SIZE_LAWS["lognormal"], draws, rng_for(9), "independent")
-    evaluate_expected_success(inputs, sizes)
-    tracemalloc.start()
-    try:
-        evaluate_expected_success(inputs, sizes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    full_matrix = int((inputs.policy.b > 0).sum()) * draws * 8
-    assert peak < full_matrix, f"peak {peak} bytes, one 2K x draws matrix is {full_matrix}"
+    monkeypatch.setattr(analytics, "_SIZE_ATOL", -1.0)
+    law = UniformSize(5e7, 2e9)
+    with pytest.raises(ArithmeticError, match=re.escape(f"{law!r}, order='decreasing'")):
+        expected_success(inputs, law, order="decreasing")
 
 
-def test_evaluation_rejects_sizes_of_another_shape():
+def test_size_rule_shapes():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    law = UniformSize(5e7, 2e9)
+    assert size_rule(inputs, law, "independent").weights.shape == (1, 577)
+    assert size_rule(inputs, law, "decreasing").weights.shape == (10, 577)
+    with pytest.raises(ValueError, match="ordering"):
+        size_rule(inputs, law, "shuffled")
+
+
+def test_evaluation_rejects_rule_of_another_shape():
+    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    rule = size_rule(inputs, UniformSize(5e7, 2e9), "independent")
     with pytest.raises(ValueError, match="cached objects"):
-        evaluate_expected_success(inputs, np.full((3, 1000), 1e9))
+        evaluate_expected_success(inputs, SizeRule(rule.law, "decreasing", rule.sizes, np.ones((3, 577))))
 
 
 # ------------------------------------------------------- coverage scale

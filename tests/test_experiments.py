@@ -32,7 +32,6 @@ from d2dcache import (
     sample_sizes,
     zipf_popularity,
 )
-from d2dcache.analytics import draw_expectation_sizes
 from d2dcache.experiments import _at_point
 
 
@@ -148,8 +147,10 @@ def test_load_config_two_sections(tmp_path):
         load_config(path)
 
 
-def test_load_config_unknown_key(tmp_path):
-    path = write_config(tmp_path, "[validate_audio]\nlifespan = 100\n")
+@pytest.mark.parametrize("key", ["lifespan", "mc_samples"])
+def test_load_config_unknown_key(tmp_path, key):
+    # the size expectation is deterministic, so mc_samples is no config key
+    path = write_config(tmp_path, f"[expected_comparison]\n{key} = 100\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path)
 
@@ -303,21 +304,17 @@ def test_flag_spares_small_samples_inside_wilson_interval(monkeypatch, caplog):
     assert not _flagged(monkeypatch, caplog, analytic=0.3, simulated=0.05, iterations=20)
 
 
-def _comparison_flagged(monkeypatch, caplog, analytic, analytic_stderr):
+def _comparison_flagged(monkeypatch, caplog, analytic):
     """Whether run_preset warns about one comparison row whose simulated
-    frequency is 100/2000 and whose expected success carries this error."""
-    monkeypatch.setattr(
-        experiments,
-        "evaluate_expected_success",
-        lambda *a, **kw: MetricEstimate(value=analytic, standard_error=analytic_stderr, sample_count=1000),
-    )
+    frequency is 100/2000 and whose expected success is analytic."""
+    monkeypatch.setattr(experiments, "evaluate_expected_success", lambda *a, **kw: MetricEstimate(value=analytic))
     monkeypatch.setattr(
         experiments,
         "estimate_total_success",
         lambda config: MetricEstimate(value=0.05, standard_error=math.sqrt(0.05 * 0.95 / 2000), sample_count=2000),
     )
     preset = replace(
-        build_preset("expected_comparison", iterations=2000, mc_samples=1000),
+        build_preset("expected_comparison", iterations=2000),
         sweeps=(("tau_mean", (1000.0,)),),
         variants=("uniform",),
     )
@@ -326,40 +323,15 @@ def _comparison_flagged(monkeypatch, caplog, analytic, analytic_stderr):
     return any("standard errors from analytic" in rec.message for rec in caplog.records)
 
 
-def test_flag_widened_by_analytic_standard_error(monkeypatch, caplog):
-    # the Wilson interval at 4 standard errors around 0.05 over 2000
-    # requests ends near 0.0733; 4 analytic standard errors of 0.002 move
-    # that end to 0.0813, past the analytic value 0.08
-    assert not _comparison_flagged(monkeypatch, caplog, analytic=0.08, analytic_stderr=0.002)
-
-
 def test_flag_with_exact_analytic_value(monkeypatch, caplog):
-    # the same row with a closed form that carries no Monte Carlo error
-    assert _comparison_flagged(monkeypatch, caplog, analytic=0.08, analytic_stderr=0.0)
+    # the Wilson interval at 4 standard errors around 0.05 over 2000
+    # requests ends near 0.0733; the closed form carries no error, so
+    # nothing widens it and 0.08 lies outside
+    assert _comparison_flagged(monkeypatch, caplog, analytic=0.08)
 
 
-def test_ordered_comparison_logs_top_sizes(monkeypatch, caplog):
-    monkeypatch.setattr(
-        experiments,
-        "estimate_total_success",
-        lambda config: MetricEstimate(value=0.5, standard_error=0.01, sample_count=100),
-    )
-    monkeypatch.setattr(
-        experiments,
-        "evaluate_expected_success",
-        lambda *a, **kw: MetricEstimate(value=0.5, standard_error=0.01, sample_count=200),
-    )
-    preset = replace(
-        build_preset("ordered_comparison", iterations=1),
-        sweeps=(("tau_mean", (1000.0,)),),
-        variants=("uniform", "weibull"),
-    )
-    with caplog.at_level(logging.INFO, logger="d2dcache.experiments"):
-        rows = run_preset(preset)
-    assert len(rows) == 2
-    logged = [rec.getMessage() for rec in caplog.records if "top-5" in rec.message]
-    assert any("uniform" in msg for msg in logged)
-    assert any("weibull" in msg for msg in logged)
+def test_flag_spares_exact_analytic_value_inside_interval(monkeypatch, caplog):
+    assert not _comparison_flagged(monkeypatch, caplog, analytic=0.07)
 
 
 def _comparison_inputs(preset, law, density, tau):
@@ -377,60 +349,38 @@ def _comparison_inputs(preset, law, density, tau):
 
 @pytest.mark.parametrize("name", ["expected_comparison", "ordered_comparison"])
 def test_comparison_analytic_column_matches_per_point_expected_success(monkeypatch, name):
-    # one size sample per variant must give exactly what a fresh (seed, 2)
-    # stream and expected_success give at every point, standard error too
+    # one size rule per variant must give exactly what expected_success
+    # gives at every point, and the column must not depend on the seed
     monkeypatch.setattr(
         experiments,
         "estimate_total_success",
         lambda config: MetricEstimate(value=0.5, standard_error=0.1, sample_count=config.iterations),
     )
-    checked = []
-    monkeypatch.setattr(experiments, "_check_agreement", lambda row, stderr: checked.append(stderr))
-    preset = replace(
-        build_preset(name, seed=3, iterations=1),
-        sweeps=(("tau_mean", (100.0, 1000.0)), ("density", (1e-4, 1e-2))),
-    )
-    rows = run_preset(preset)
-    assert len(rows) == 4 * len(preset.variants)
-    for row, stderr in zip(rows, checked):
+    columns = []
+    for seed in (3, 4):
+        preset = replace(
+            build_preset(name, seed=seed, iterations=1),
+            sweeps=(("tau_mean", (100.0, 1000.0)), ("density", (1e-4, 1e-2))),
+        )
+        rows = run_preset(preset)
+        assert len(rows) == 4 * len(preset.variants)
+        columns.append([row.analytic for row in rows])
+    assert columns[0] == columns[1]
+    for row in rows:
         law = experiments.COMPARISON_SIZE_LAWS[row.variant]
         density = row.sweep_value if row.sweep_name == "density" else preset.density
         tau = row.sweep_value if row.sweep_name == "tau_mean" else preset.fixed_lifespan
-        rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 2)))
-        want = expected_success(
-            _comparison_inputs(preset, law, density, tau), law, preset.mc_samples, rng, order=preset.reorder
-        )
-        assert (row.analytic, stderr) == (want.value, want.standard_error)
+        want = expected_success(_comparison_inputs(preset, law, density, tau), law, order=preset.reorder)
+        assert row.analytic == want.value
 
 
-def test_ordered_comparison_logs_first_draw_of_shared_sample(monkeypatch, caplog):
-    monkeypatch.setattr(
-        experiments,
-        "estimate_total_success",
-        lambda config: MetricEstimate(value=0.5, standard_error=0.01, sample_count=100),
-    )
-    preset = replace(
-        build_preset("ordered_comparison", seed=4, iterations=1, mc_samples=1000),
-        sweeps=(("tau_mean", (1000.0,)),),
-        variants=("pareto",),
-    )
-    with caplog.at_level(logging.INFO, logger="d2dcache.experiments"):
-        run_preset(preset)
-    law = experiments.COMPARISON_SIZE_LAWS["pareto"]
-    rng = np.random.default_rng(np.random.SeedSequence((4, 2)))
-    inputs = _comparison_inputs(preset, law, preset.density, 1000.0)
-    sizes = draw_expectation_sizes(inputs, law, 1000, rng, "decreasing")
-    top = np.array2string(sizes[:5, 0] / 1e9, precision=3, separator=", ")
-    assert [rec.getMessage() for rec in caplog.records if "top-5" in rec.message] == [f"top-5 pareto sizes (Gb): {top}"]
-
-
-def test_size_draw_errors_name_the_variant(monkeypatch):
+def test_size_rule_errors_name_the_variant(monkeypatch):
     def fail(*args):
         raise ValueError("inverse CDF failed")
 
-    monkeypatch.setattr(experiments, "draw_expectation_sizes", fail)
+    monkeypatch.setattr(experiments, "size_rule", fail)
     preset = replace(build_preset("expected_comparison", iterations=1), variants=("weibull",))
-    with pytest.raises(ValueError, match=r"inverse CDF failed \(drawing sizes for variant='weibull'\)"):
+    with pytest.raises(ValueError, match=r"inverse CDF failed \(building the size rule for variant='weibull'\)"):
         run_preset(preset)
 
 
@@ -495,7 +445,7 @@ def test_comparison_seed_keys_and_window(monkeypatch, name):
     # the longest lifespan is the density sweep's fixed 1000 s, not the
     # tau sweep's 500 s
     preset = replace(
-        build_preset(name, seed=2, iterations=1, mc_samples=1000),
+        build_preset(name, seed=2, iterations=1),
         sweeps=(("tau_mean", (100.0, 500.0)), ("density", (1e-4, 1e-2))),
     )
     calls = _simulator_calls(monkeypatch, preset)
@@ -548,6 +498,7 @@ def test_cli_validate_config(tmp_path, capsys):
 
 def test_cli_run_unknown_target(capsys):
     assert experiments.main(["run", "validate_ultrasound"]) == 1
+    assert experiments.main(["run", "expected_comparison", "--mc-samples", "1000"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
