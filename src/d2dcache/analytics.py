@@ -23,36 +23,31 @@ double-exponentially at both ends. The same rule on 12 panels gives an
 error estimate; a value that is not finite or whose estimate exceeds 1e-8
 relative raises ArithmeticError.
 
-Expected success averages over random file sizes, and since success is
-a popularity-weighted sum of per-object terms, only each cached object's
-marginal size law matters: the size law itself when sizes are drawn
-independently, and the law of an order statistic when sizes are sorted
-against popularity, since rank k of F sorted uniforms is Beta(k, F-k+1)
-(David & Nagaraja, Order Statistics). Each marginal is an integral over
-u in (0, 1) through the law's inverse CDF, taken by the trapezoid rule in
-L = logit(u) with step h = 1/8 on [-36, 36]: 577 nodes shared by every
-object, with weights u(1-u) h, times the Beta density for an order
-statistic. In L the integrand decays exponentially at both ends, where
-the trapezoid rule converges geometrically (Trefethen & Weideman, SIAM
-Review 2014); beyond |L| = 36 less than e^-36 of u-mass is left out, and
-the integrand lies in [0, 1]. The same rule on every other node (step
-1/4) gives an error estimate; a value that is not finite or whose
-estimate exceeds 1e-6 absolute raises ArithmeticError. size_rule builds
-the nodes and weights once per size law and ordering, and
-evaluate_expected_success takes I_T at the nodes at one density and
-lifespan, so a sweep reuses one rule at every point.
+Expected success averages over random file sizes. Success is a
+popularity-weighted sum of per-object terms, so only each cached object's
+marginal size law matters: the law itself for independent sizes, and for
+sizes sorted against popularity the law of rank k of F sorted uniforms,
+Beta(k, F-k+1) (David & Nagaraja, Order Statistics). size_rule integrates
+each marginal over u in (0, 1) by the trapezoid rule in L = logit(u),
+where the integrand decays exponentially at both ends and the rule
+converges geometrically (Trefethen & Weideman, SIAM Review 2014).
+evaluate_expected_success applies a rule at one density and lifespan, so
+a sweep builds it once. Given a sample count, expected_success instead
+estimates the same expectation by Monte Carlo over size draws, a check of
+the rule that shares only I_T with it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, expit, log_expit
+from scipy.special import betaln, expit, log_expit, polygamma
 
 from .channel import FadingLaw, RadioParams, fading_moment
-from .content import ORDERING_MODES, ContentCatalogue, SizeLaw
+from .content import ORDERING_MODES, ContentCatalogue, SizeLaw, order_sizes
 from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
@@ -66,8 +61,8 @@ _MOMENT_RTOL = 1e-8
 # temporaries to _MOMENT_CHUNK x 384 values whatever the number of draws.
 _MOMENT_CHUNK = 64
 # Trapezoid rule of the size expectation in L = logit(u): nodes at
-# multiples of _LOGIT_STEP on [-_LOGIT_SPAN, _LOGIT_SPAN], and the largest
-# absolute error estimate accepted from it.
+# multiples of the step on [-_LOGIT_SPAN, _LOGIT_SPAN], the largest step,
+# and the largest absolute error estimate accepted from it.
 _LOGIT_SPAN = 36.0
 _LOGIT_STEP = 0.125
 _SIZE_ATOL = 1e-6
@@ -212,16 +207,10 @@ def lifespan_moment_fixed(z: float, tau: float, bandwidth: float, alpha: float):
 def lifespan_moment_exponential(z: float, tau: float, bandwidth: float, alpha: float) -> float:
     """I_T for one file size z under an exponential lifespan with mean tau.
 
-    Evaluates int_0^inf e^(-t) (2^(x0/t) - 1)^(-2/alpha) dt with
-    x0 = z/(W*tau) by the fixed-node rule of the module docstring: 16-point
-    Gauss-Legendre in each of 24 panels of s = ln t over
-    [ln t_lo, ln t_hi], where t_lo and t_hi come from bounds on the slope
-    of the log integrand and leave out less than e^(-40) of its peak. The
-    error estimate is the difference from the same rule on 12 panels; a
-    value that is not finite, or whose estimate exceeds 1e-8 relative,
-    raises ArithmeticError. Raises ValueError unless every argument is
-    finite and positive. lifespan_moment evaluates whole arrays of sizes
-    in one call.
+    The fixed-node rule of the module docstring (see _exponential_moment);
+    raises ArithmeticError when its error estimate exceeds 1e-8 relative,
+    and ValueError unless every argument is finite and positive.
+    lifespan_moment evaluates whole arrays of sizes in one call.
     """
     values, _ = _exponential_moment(_moment_argument(z, tau, bandwidth, alpha), alpha)
     return float(values)
@@ -262,24 +251,20 @@ def per_object_success(inputs: AnalyticInputs, j: int) -> MetricEstimate:
 
 def total_success(inputs: AnalyticInputs) -> MetricEstimate:
     """Popularity-averaged service success probability of the catalogue."""
-    a = inputs.catalogue.popularity.a
-    b = inputs.policy.b
-    cached = b > 0
-    success = 0.0
-    if np.any(cached):
-        its = np.atleast_1d(
-            lifespan_moment(
-                inputs.lifespan,
-                inputs.catalogue.sizes[cached],
-                inputs.radio.bandwidth,
-                inputs.radio.pathloss_exponent,
-            )
-        )
-        # success mass summed directly (a_j * -expm1(-exponent_j)) rather
-        # than 1 - failure mass: exact when nothing is cached and free of
-        # cancellation when every term is small
-        success = float(np.sum(a[cached] * -np.expm1(-_coefficient(inputs) * b[cached] * its)))
-    return MetricEstimate(value=_clamp(success))
+    # success mass summed directly (a_j * -expm1(-exponent_j)) rather than
+    # 1 - failure mass: exact when nothing is cached and free of
+    # cancellation when every term is small
+    sizes = inputs.catalogue.sizes[inputs.policy.b > 0, None]
+    return MetricEstimate(value=_clamp(float(_success_terms(inputs, sizes).sum())))
+
+
+def _success_terms(inputs: AnalyticInputs, sizes: np.ndarray) -> np.ndarray:
+    """a_j (1 - exp(-c b_j I_T(z))), one row per cached object j and one
+    column per size z; sizes has one row for every object or one each."""
+    cached = inputs.policy.b > 0
+    its = lifespan_moment(inputs.lifespan, sizes, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
+    exponents = (_coefficient(inputs) * inputs.policy.b[cached])[:, None] * its
+    return inputs.catalogue.popularity.a[cached, None] * -np.expm1(-exponents)
 
 
 @dataclass(frozen=True)
@@ -300,28 +285,36 @@ class SizeRule:
 def size_rule(inputs: AnalyticInputs, size_law: SizeLaw, order: str) -> SizeRule:
     """The trapezoid rule in logit(u) over each cached object's marginal size law.
 
-    The nodes are size_law.inverse_cdf(expit(L)) at L = n h over
-    [-_LOGIT_SPAN, _LOGIT_SPAN], h = _LOGIT_STEP, with weights u(1-u) h.
-    With order "increasing" (or "decreasing") the object of popularity
+    The nodes are size_law.inverse_cdf(expit(L)) at L = n h on
+    [-_LOGIT_SPAN, _LOGIT_SPAN], beyond which less than e^-36 of u-mass
+    lies. Under order "increasing" ("decreasing") the object of popularity
     rank j (0-based) gets the (j+1)-th smallest (largest) of F sizes, whose
-    u is Beta(k, F-k+1) with k = j+1 (F-j), so its weights are also
-    multiplied by that Beta density. The rule depends only on the catalogue
-    size and the placement, so one rule serves every density and lifespan.
+    u is Beta(k, F-k+1) with k = j+1 (F-j); independent sizes are
+    Beta(1, 1), one row for every object. The weights are h times the Beta
+    density in L, u^k (1-u)^(F-k+1) / B(k, F-k+1). h is _LOGIT_STEP (577
+    nodes), halved until it is at most half the narrowest cached marginal's
+    standard deviation in L, sqrt(psi1(k) + psi1(F-k+1)): from about 17
+    cached objects under an ordering. The rule depends only on F and the
+    placement, so one rule serves every density and lifespan.
     """
     if order not in ORDERING_MODES:
         raise ValueError(f"unknown ordering mode {order!r}; expected one of {ORDERING_MODES}")
-    half = round(_LOGIT_SPAN / _LOGIT_STEP)
-    logit = np.arange(-half, half + 1) * _LOGIT_STEP
+    if order == "independent":
+        k = m = np.ones((1, 1))
+    else:
+        ranks = np.flatnonzero(inputs.policy.b > 0)
+        k = (ranks + 1 if order == "increasing" else inputs.catalogue.F - ranks)[:, None]
+        m = inputs.catalogue.F - k + 1
+    spread = np.min(np.sqrt(polygamma(1, k) + polygamma(1, m)), initial=math.inf)
+    step = _LOGIT_STEP
+    while step > spread / 2.0:
+        step /= 2.0
+    half = round(_LOGIT_SPAN / step)
+    logit = np.arange(-half, half + 1) * step
     log_u, log_v = log_expit(logit), log_expit(-logit)  # log u, log(1 - u)
     sizes = np.asarray(size_law.inverse_cdf(expit(logit)), dtype=float)
-    if order == "independent":
-        log_w = (log_u + log_v)[None, :]
-    else:
-        F = inputs.catalogue.F
-        ranks = np.flatnonzero(inputs.policy.b > 0)
-        k = (ranks + 1 if order == "increasing" else F - ranks)[:, None]
-        log_w = k * log_u + (F - k + 1) * log_v - betaln(k, F - k + 1)
-    return SizeRule(law=size_law, order=order, sizes=sizes, weights=_LOGIT_STEP * np.exp(log_w))
+    log_w = k * log_u + m * log_v - betaln(k, m)
+    return SizeRule(law=size_law, order=order, sizes=sizes, weights=step * np.exp(log_w))
 
 
 def evaluate_expected_success(inputs: AnalyticInputs, rule: SizeRule) -> MetricEstimate:
@@ -336,9 +329,7 @@ def evaluate_expected_success(inputs: AnalyticInputs, rule: SizeRule) -> MetricE
     cached = inputs.policy.b > 0
     if rule.weights.shape[0] not in (1, int(cached.sum())):
         raise ValueError(f"rule weights of shape {rule.weights.shape} do not fit {int(cached.sum())} cached objects")
-    its = lifespan_moment(inputs.lifespan, rule.sizes, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
-    exponents = (_coefficient(inputs) * inputs.policy.b[cached])[:, None] * its
-    terms = inputs.catalogue.popularity.a[cached, None] * rule.weights * -np.expm1(-exponents)
+    terms = rule.weights * _success_terms(inputs, rule.sizes)
     value = float(terms.sum())
     error = abs(value - 2.0 * float(terms[:, ::2].sum()))
     if not error <= _SIZE_ATOL:
@@ -358,18 +349,31 @@ def expected_success(
 ) -> MetricEstimate:
     """Service success averaged over both popularity and random file sizes.
 
-    Sizes enter only through I_T, so the expectation over the size law is
-    a 1-D integral per cached object over its marginal size law, with
-    sizes ordered against popularity per order (see content.order_sizes).
-    This is evaluate_expected_success of size_rule; the catalogue's
-    realized sizes are ignored. The result is a closed-form estimate:
-    standard error 0, sample count 0.
-
-    mc_samples and rng are accepted and unused. They remain only because
-    bench/workloads.py passes them; the benchmark revision of ROADMAP
-    item 1 lets them go.
+    Sizes enter only through I_T, per cached object through its marginal
+    size law under order (see content.order_sizes); the catalogue's
+    realized sizes are ignored. By default this is evaluate_expected_success
+    of size_rule, with standard error 0 and sample count 0. Given
+    mc_samples (an integer of at least 1000) it is a Monte Carlo estimate
+    over draws from rng instead, with the draws' standard error and count:
+    mc_samples sizes, each shared by every cached object, under
+    "independent", else max(200, mc_samples // F) catalogues of F sizes
+    ordered per order. rng without mc_samples raises ValueError.
     """
-    return evaluate_expected_success(inputs, size_rule(inputs, size_law, order))
+    if mc_samples is None:
+        if rng is not None:
+            raise ValueError("rng is used only with mc_samples")
+        return evaluate_expected_success(inputs, size_rule(inputs, size_law, order))
+    if not isinstance(mc_samples, numbers.Integral) or mc_samples < 1000:
+        raise ValueError(f"mc_samples must be an integer of at least 1000, got {mc_samples!r}")
+    rng = np.random.default_rng() if rng is None else rng
+    if order == "independent":
+        sizes = np.asarray(size_law.inverse_cdf(rng.random(mc_samples)), dtype=float)[None, :]
+    else:
+        u = rng.random((max(200, mc_samples // inputs.catalogue.F), inputs.catalogue.F))
+        sizes = order_sizes(np.asarray(size_law.inverse_cdf(u), dtype=float), order)[:, inputs.policy.b > 0].T
+    per_draw = _success_terms(inputs, sizes).sum(axis=0)
+    stderr = float(per_draw.std(ddof=1) / math.sqrt(per_draw.size))
+    return MetricEstimate(value=_clamp(float(per_draw.mean())), standard_error=stderr, sample_count=per_draw.size)
 
 
 def coverage_radius_scale(inputs: AnalyticInputs) -> float:

@@ -124,12 +124,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """A fully resolved experiment: sweeps, variants and model parameters.
-
-    mc_samples is validated and unused: expected_success is deterministic.
-    It remains only because bench/workloads.py reads it, and goes with the
-    benchmark revision of ROADMAP item 1.
-    """
+    """A fully resolved experiment: sweeps, variants and model parameters."""
 
     name: str
     kind: str  # validate | correlation | comparison
@@ -147,7 +142,6 @@ class ExperimentPreset:
     fixed_lifespan: float = COMPARISON_LIFESPAN
     iterations: int = ITERATIONS
     seed: int = 0
-    mc_samples: int = 200_000
     parallelism: int = 1
     window_half_width: float | None = None
     reorder: str = "independent"
@@ -175,17 +169,22 @@ class ExperimentPreset:
             raise ConfigError(f"zipf_exponent must be finite and nonnegative, got {self.zipf_exponent!r}")
         if self.reorder not in ORDERING_MODES:
             raise ConfigError(f"unknown ordering {self.reorder!r}; expected one of {ORDERING_MODES}")
-        for name in ("iterations", "cache_capacity", "parallelism", "mc_samples"):
+        for name in ("iterations", "cache_capacity", "parallelism"):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
-        if self.mc_samples < 1000:
-            raise ConfigError("mc_samples must be at least 1000")
         if 2 * self.cache_capacity > self.catalogue_size:
             raise ConfigError("need catalogue_size >= 2 * cache_capacity")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
         if self.window_half_width is not None and not 0 < self.window_half_width < math.inf:
             raise ConfigError("window_half_width must be finite and positive")
+
+    @property
+    def mc_samples(self) -> float:
+        """Size draws behind the analytic column, for callers that combine its
+        sampling error sd / sqrt(mc_samples) with their own: the column is
+        exact (expected_success's rule), so the count is unbounded, inf."""
+        return math.inf
 
 
 @dataclass

@@ -43,6 +43,7 @@ from d2dcache.experiments import COMPARISON_SIZE_LAWS
 
 W = 5e6
 ALPHA = 4.0
+ORDERS = ("independent", "increasing", "decreasing")
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -366,13 +367,60 @@ def test_expected_success_with_point_mass_matches_total():
         assert (est.standard_error, est.sample_count) == (0.0, 0)
 
 
-def test_expected_success_ignores_samples_and_stream():
-    # mc_samples and rng stay in the signature, unused
+def test_expected_success_rejects_stream_without_samples():
+    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    with pytest.raises(ValueError, match="mc_samples"):
+        expected_success(inputs, UniformSize(5e7, 2e9), rng=rng_for(4))
+
+
+def test_expected_success_requires_enough_samples():
+    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    with pytest.raises(ValueError, match="at least 1000"):
+        expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=999)
+
+
+@pytest.mark.parametrize("mc_samples", [1500.5, 2000.0, math.nan, math.inf, "5000"])
+def test_expected_success_requires_integer_samples(mc_samples):
+    inputs = make_inputs(lifespan=FixedLifespan(1000.0))
+    with pytest.raises(ValueError, match="mc_samples"):
+        expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=mc_samples, rng=rng_for(3))
+
+
+def test_sampled_expected_success_deterministic_given_stream():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     law = UniformSize(5e7, 2e9)
-    exact = expected_success(inputs, law)
-    assert expected_success(inputs, law, 5000, rng_for(4)) == exact
-    assert expected_success(inputs, law, mc_samples=1000, rng=None) == exact
+    first = expected_success(inputs, law, mc_samples=5000, rng=rng_for(4))
+    assert first == expected_success(inputs, law, 5000, rng_for(4))
+    assert first.sample_count == 5000 and first.standard_error > 0
+
+
+@pytest.mark.parametrize("lifespan", [FixedLifespan(500.0), ExponentialLifespan(500.0)], ids=["fixed", "exponential"])
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_sampled_expectation_matches_sorted_catalogue_draws(order, lifespan):
+    # oracle: from the same generator state, draw each catalogue row by
+    # row, sort it by hand and average total_success over the draws
+    inputs = make_inputs(lifespan=lifespan)
+    law = UniformSize(5e7, 2e9)
+    est = expected_success(inputs, law, mc_samples=30_000, rng=rng_for(6), order=order)
+    rng = rng_for(6)
+    direct = []
+    for _ in range(300):
+        sizes = np.sort(law.inverse_cdf(rng.random(100)))
+        sizes = sizes if order == "increasing" else sizes[::-1]
+        catalogue = ContentCatalogue(popularity=inputs.catalogue.popularity, sizes=sizes, ordering_mode=order)
+        direct.append(total_success(replace(inputs, catalogue=catalogue)).value)
+    assert est.sample_count == 300
+    assert est.value == pytest.approx(math.fsum(direct) / 300, rel=1e-12)
+    assert est.standard_error == pytest.approx(np.std(direct, ddof=1) / math.sqrt(300), rel=1e-9)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_sampled_expected_success_agrees_with_rule(order):
+    inputs = make_inputs(F=200, lifespan=FixedLifespan(300.0))
+    law = COMPARISON_SIZE_LAWS["exponential"]
+    sampled = expected_success(inputs, law, mc_samples=200_000, rng=rng_for(13), order=order)
+    exact = expected_success(inputs, law, order=order)
+    assert abs(sampled.value - exact.value) <= 4 * sampled.standard_error
 
 
 def test_expected_success_tracks_direct_average():
@@ -389,7 +437,6 @@ def test_expected_success_tracks_direct_average():
     assert abs(est.value - direct.mean()) < 3 * direct.std(ddof=1) / math.sqrt(direct.size)
 
 
-ORDERS = ("independent", "increasing", "decreasing")
 SIZE_DRAWS = 1_000_000
 RULE_TAU = 300.0
 
@@ -476,6 +523,29 @@ def test_size_rule_converged_at_its_step(monkeypatch, law, order, lifespan):
             fine = evaluate_expected_success(inputs, fine_rule).value
         assert fine_rule.sizes.size == 2305
         assert abs(coarse - fine) <= 1e-12, (density, coarse, fine)
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+@pytest.mark.parametrize("law", sorted(COMPARISON_SIZE_LAWS))
+def test_size_rule_narrows_its_step_for_large_ordered_caches(monkeypatch, law, order):
+    # K = 50 of F = 200 caches rank k = 101 (decreasing) or 100
+    # (increasing), whose marginal has standard deviation 0.141 in logit(u):
+    # step 1/8 would not resolve it, so the step halves to 1/16
+    inputs = make_inputs(F=200, K=50, lifespan=FixedLifespan(RULE_TAU))
+    size_law = COMPARISON_SIZE_LAWS[law]
+    rule = size_rule(inputs, size_law, order)
+    assert rule.sizes.size == 1153 and rule.weights.shape == (100, 1153)
+    value = evaluate_expected_success(inputs, rule).value
+    with monkeypatch.context() as patch:
+        patch.setattr(analytics, "_LOGIT_STEP", 1.0 / 64.0)
+        fine = expected_success(inputs, size_law, order=order).value
+    assert abs(value - fine) <= 1e-12, (value, fine)
+    case = (sorted(COMPARISON_SIZE_LAWS).index(law), ORDERS.index(order))
+    rng = np.random.default_rng(np.random.SeedSequence((95, 14, *case)))
+    moment = lambda z: lifespan_moment_fixed(z, RULE_TAU, W, ALPHA)  # noqa: E731
+    draws = _monte_carlo_success(inputs, size_law, order, moment, rng)
+    se = draws.std(ddof=1) / math.sqrt(draws.size)
+    assert abs(value - draws.mean()) <= 4 * se + 3 / draws.size, (value, draws.mean(), se)
 
 
 def test_size_rule_raises_when_error_estimate_exceeds_tolerance(monkeypatch):

@@ -3,8 +3,7 @@
 For each numeric field of each model dataclass (and each numeric INI key
 of a config file), any float is either rejected with ValueError
 (ConfigError for presets and config files) or was finite; the integer
-preset fields cache_capacity and parallelism must also be at least 1,
-and mc_samples an integer of at least 1000.
+preset fields cache_capacity and parallelism must also be at least 1.
 NaN and +-inf are always among the examples tried, because comparisons
 with NaN are false and so slip past a plain range check.
 """
@@ -102,7 +101,7 @@ def test_dataclass_fields_accept_only_finite_values(name, key, value):
 
 
 # preset fields that must moreover be positive integers, with their floors
-POSITIVE_INTEGER_KEYS = {"cache_capacity": 1, "parallelism": 1, "mc_samples": 1000}
+POSITIVE_INTEGER_KEYS = {"cache_capacity": 1, "parallelism": 1}
 
 
 def _admissible(key, value):
@@ -123,7 +122,6 @@ PRESET_OVERRIDES = {
     "tau_grid": lambda value: dict(tau_grid=(10.0, value)),
     "cache_capacity": lambda value: dict(cache_capacity=_integral(value)),
     "parallelism": lambda value: dict(parallelism=_integral(value)),
-    "mc_samples": lambda value: dict(mc_samples=_integral(value)),
 }
 
 
