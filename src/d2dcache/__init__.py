@@ -14,8 +14,6 @@ from .analytics import (
     expected_success,
     lifespan_moment,
     lifespan_moment_exponential,
-    lifespan_moment_fixed,
-    per_object_success,
     total_success,
 )
 from .channel import (
@@ -38,7 +36,6 @@ from .content import (
     PopularityLaw,
     UniformSize,
     WeibullSize,
-    apply_ordering,
     mean_size,
     order_sizes,
     sample_sizes,
@@ -58,7 +55,7 @@ from .experiments import (
 from .geometry import Window, sample_disc
 from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
 from .placement import PlacementPolicy, popularity_weighted_marginals
-from .simulator import SimulationConfig, estimate_per_object_success, estimate_total_success
+from .simulator import SimulationConfig, estimate_total_success
 
 __version__ = "0.1.0"
 
@@ -88,22 +85,18 @@ __all__ = [
     "WeibullFading",
     "WeibullSize",
     "Window",
-    "apply_ordering",
     "build_preset",
     "coverage_radius_scale",
     "emit_results",
-    "estimate_per_object_success",
     "estimate_total_success",
     "expected_success",
     "fading_moment",
     "lifespan_moment",
     "lifespan_moment_exponential",
-    "lifespan_moment_fixed",
     "link_bits",
     "load_config",
     "mean_size",
     "order_sizes",
-    "per_object_success",
     "popularity_weighted_marginals",
     "required_half_width",
     "run_preset",

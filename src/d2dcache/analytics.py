@@ -11,8 +11,9 @@ law T. The factor decomposes the PPP void probability of the random
 coverage disc: (P/N)^(2/alpha) * E[H^(2/alpha)] * I_T is the mean squared
 coverage radius up to the factor pi * lambda_t.
 
-Total success averages the per-object probability over the request
-popularity; expected success additionally averages over random file sizes.
+Total success averages this probability over the request popularity, one
+term per cached object; expected success additionally averages over
+random file sizes. lifespan_moment evaluates I_T under every lifespan law.
 
 Under an exponential lifespan of mean tau, I_T = int_0^inf e^(-t)
 (2^(x0/t) - 1)^(-2/alpha) dt with x0 = z/(W*tau). One vectorized kernel
@@ -27,7 +28,7 @@ Expected success averages over random file sizes. Success is a
 popularity-weighted sum of per-object terms, so only each cached object's
 marginal size law matters: the law itself for independent sizes, and for
 sizes sorted against popularity the law of rank k of F sorted uniforms,
-Beta(k, F-k+1) (David & Nagaraja, Order Statistics). size_rule integrates
+Beta(k, F-k+1), with k from content.order_statistic. size_rule integrates
 each marginal over u in (0, 1) by the trapezoid rule in L = logit(u),
 where the integrand decays exponentially at both ends and the rule
 converges geometrically (Trefethen & Weideman, SIAM Review 2014).
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.special import betaln, expit, log_expit, polygamma
 
 from .channel import FadingLaw, RadioParams, fading_moment
-from .content import ORDERING_MODES, ContentCatalogue, SizeLaw, order_sizes
+from .content import ContentCatalogue, SizeLaw, order_sizes, order_statistic
 from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
@@ -194,16 +195,6 @@ def _exponential_moment(x0, alpha: float):
     return values.reshape(x0.shape), errors.reshape(x0.shape)
 
 
-def lifespan_moment_fixed(z: float, tau: float, bandwidth: float, alpha: float):
-    """I_T for a deterministic lifespan: (2^(z/(W*tau)) - 1)^(-2/alpha).
-
-    Returns 0 when z/(W*tau) exceeds the underflow cutoff. Accepts array z.
-    Raises ValueError unless every argument is finite and positive.
-    """
-    result = _threshold_power(_moment_argument(z, tau, bandwidth, alpha), alpha)
-    return float(result) if result.ndim == 0 else result
-
-
 def lifespan_moment_exponential(z: float, tau: float, bandwidth: float, alpha: float) -> float:
     """I_T for one file size z under an exponential lifespan with mean tau.
 
@@ -217,13 +208,21 @@ def lifespan_moment_exponential(z: float, tau: float, bandwidth: float, alpha: f
 
 
 def lifespan_moment(law: LifespanLaw, z, bandwidth: float, alpha: float):
-    """I_T under either lifespan law; z may be an array of any shape."""
+    """I_T under either lifespan law; z may be an array of any shape.
+
+    Under a fixed lifespan tau it is (2^(z/(W*tau)) - 1)^(-2/alpha), 0 once
+    z/(W*tau) exceeds the underflow cutoff; under an exponential one, the
+    rule of the module docstring, which raises ArithmeticError when its
+    error estimate exceeds 1e-8 relative. Raises ValueError unless z, the
+    mean lifespan, bandwidth and alpha are all finite and positive.
+    """
     if isinstance(law, FixedLifespan):
-        return lifespan_moment_fixed(z, law.mean, bandwidth, alpha)
-    if isinstance(law, ExponentialLifespan):
+        values = _threshold_power(_moment_argument(z, law.mean, bandwidth, alpha), alpha)
+    elif isinstance(law, ExponentialLifespan):
         values, _ = _exponential_moment(_moment_argument(z, law.mean, bandwidth, alpha), alpha)
-        return float(values) if values.ndim == 0 else values
-    raise TypeError(f"unknown lifespan law {law!r}")
+    else:
+        raise TypeError(f"unknown lifespan law {law!r}")
+    return float(values) if values.ndim == 0 else values
 
 
 def _coefficient(inputs: AnalyticInputs) -> float:
@@ -235,18 +234,6 @@ def _coefficient(inputs: AnalyticInputs) -> float:
 
 def _clamp(p: float) -> float:
     return min(max(p, 0.0), 1.0)
-
-
-def per_object_success(inputs: AnalyticInputs, j: int) -> MetricEstimate:
-    """Probability the request for object j (0-based) is served."""
-    b_j = inputs.policy.b[j]
-    if b_j == 0.0:
-        return MetricEstimate(value=0.0)
-    it = lifespan_moment(
-        inputs.lifespan, inputs.catalogue.sizes[j], inputs.radio.bandwidth, inputs.radio.pathloss_exponent
-    )
-    exponent = _coefficient(inputs) * b_j * float(it)
-    return MetricEstimate(value=_clamp(-math.expm1(-exponent)))
 
 
 def total_success(inputs: AnalyticInputs) -> MetricEstimate:
@@ -287,24 +274,23 @@ def size_rule(inputs: AnalyticInputs, size_law: SizeLaw, order: str) -> SizeRule
 
     The nodes are size_law.inverse_cdf(expit(L)) at L = n h on
     [-_LOGIT_SPAN, _LOGIT_SPAN], beyond which less than e^-36 of u-mass
-    lies. Under order "increasing" ("decreasing") the object of popularity
-    rank j (0-based) gets the (j+1)-th smallest (largest) of F sizes, whose
-    u is Beta(k, F-k+1) with k = j+1 (F-j); independent sizes are
-    Beta(1, 1), one row for every object. The weights are h times the Beta
+    lies. Under an ordering the object of popularity rank j (0-based) gets
+    the k-th smallest of F sizes, k = order_statistic(order, j, F), whose
+    u is Beta(k, F-k+1); independent sizes are Beta(1, 1), not Beta(1, F),
+    one row for every object. The weights are h times the Beta
     density in L, u^k (1-u)^(F-k+1) / B(k, F-k+1). h is _LOGIT_STEP (577
     nodes), halved until it is at most half the narrowest cached marginal's
     standard deviation in L, sqrt(psi1(k) + psi1(F-k+1)): from about 17
     cached objects under an ordering. The rule depends only on F and the
     placement, so one rule serves every density and lifespan.
     """
-    if order not in ORDERING_MODES:
-        raise ValueError(f"unknown ordering mode {order!r}; expected one of {ORDERING_MODES}")
-    if order == "independent":
+    F = inputs.catalogue.F
+    k = order_statistic(order, np.flatnonzero(inputs.policy.b > 0), F)
+    if k is None:
         k = m = np.ones((1, 1))
     else:
-        ranks = np.flatnonzero(inputs.policy.b > 0)
-        k = (ranks + 1 if order == "increasing" else inputs.catalogue.F - ranks)[:, None]
-        m = inputs.catalogue.F - k + 1
+        k = k[:, None]
+        m = F - k + 1
     spread = np.min(np.sqrt(polygamma(1, k) + polygamma(1, m)), initial=math.inf)
     step = _LOGIT_STEP
     while step > spread / 2.0:
@@ -357,15 +343,15 @@ def expected_success(
     over draws from rng instead, with the draws' standard error and count:
     mc_samples sizes, each shared by every cached object, under
     "independent", else max(200, mc_samples // F) catalogues of F sizes
-    ordered per order. rng without mc_samples raises ValueError.
+    ordered per order. One of mc_samples and rng without the other raises
+    ValueError.
     """
+    if (mc_samples is None) != (rng is None):
+        raise ValueError("mc_samples and rng are given together or not at all")
     if mc_samples is None:
-        if rng is not None:
-            raise ValueError("rng is used only with mc_samples")
         return evaluate_expected_success(inputs, size_rule(inputs, size_law, order))
     if not isinstance(mc_samples, numbers.Integral) or mc_samples < 1000:
         raise ValueError(f"mc_samples must be an integer of at least 1000, got {mc_samples!r}")
-    rng = np.random.default_rng() if rng is None else rng
     if order == "independent":
         sizes = np.asarray(size_law.inverse_cdf(rng.random(mc_samples)), dtype=float)[None, :]
     else:

@@ -92,9 +92,8 @@ class RiceFading:
 FadingLaw = ExponentialFading | LogNormalFading | WeibullFading | NakagamiFading | RiceFading
 
 
-def sample_fading(law: FadingLaw, rng: np.random.Generator | None = None, size=None):
+def sample_fading(law: FadingLaw, rng: np.random.Generator, size=None):
     """Draw fading values from the given law (scalar or array of `size`)."""
-    rng = np.random.default_rng() if rng is None else rng
     if isinstance(law, ExponentialFading):
         return rng.exponential(1.0 / law.rate, size=size)
     if isinstance(law, LogNormalFading):

@@ -8,7 +8,7 @@ size-expectation quadrature all map uniforms to sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, ndtri
@@ -22,10 +22,9 @@ _U_EPS = 1e-15  # keeps inverse CDFs strictly inside the law's support
 
 @dataclass(frozen=True)
 class PopularityLaw:
-    """Zipf request probabilities a_j = j^(-gamma) / A over F objects."""
+    """Request probabilities a_j of F objects, nonincreasing in rank j."""
 
     F: int
-    gamma: float
     a: np.ndarray
 
     def __post_init__(self):
@@ -44,7 +43,7 @@ def zipf_popularity(F: int, gamma: float) -> PopularityLaw:
     ranks = np.arange(1, F + 1, dtype=float)
     weights = ranks ** (-gamma)
     a = weights / weights.sum()
-    return PopularityLaw(F=F, gamma=gamma, a=a)
+    return PopularityLaw(F=F, a=a)
 
 
 def _clip_unit(u):
@@ -119,9 +118,8 @@ class LogNormalSize:
 SizeLaw = UniformSize | ExponentialSize | ParetoSize | WeibullSize | LogNormalSize
 
 
-def sample_sizes(law: SizeLaw, F: int, rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_sizes(law: SizeLaw, F: int, rng: np.random.Generator) -> np.ndarray:
     """Draw F i.i.d. sizes via the law's inverse CDF."""
-    rng = np.random.default_rng() if rng is None else rng
     return law.inverse_cdf(rng.random(F))
 
 
@@ -147,13 +145,11 @@ class ContentCatalogue:
     """F objects with fixed popularity and one realized size per object.
 
     Object j (0-based internally) has request probability popularity.a[j]
-    and size sizes[j] bits. ordering_mode, one of ORDERING_MODES, records
-    how sizes relate to the popularity rank.
+    and size sizes[j] bits.
     """
 
     popularity: PopularityLaw
     sizes: np.ndarray
-    ordering_mode: str = "independent"
 
     def __post_init__(self):
         sizes = np.asarray(self.sizes, dtype=float)
@@ -162,29 +158,35 @@ class ContentCatalogue:
             raise ValueError("need exactly one size per object")
         if not np.all((sizes > 0) & (sizes < math.inf)):
             raise ValueError("sizes must be finite and positive")
-        if not np.array_equal(order_sizes(sizes, self.ordering_mode), sizes):
-            raise ValueError(f"sizes are not ordered {self.ordering_mode} in popularity rank")
 
     @property
     def F(self) -> int:
         return self.popularity.F
 
 
-def order_sizes(z, mode: str):
-    """Assign size draws to popularity ranks along the last axis of z.
-
-    increasing sorts ascending (the most popular object gets the smallest
-    file), decreasing sorts descending, and independent keeps the drawn
-    order.
-    """
+def check_ordering(mode: str) -> None:
+    """Raise ValueError for a mode outside ORDERING_MODES."""
     if mode not in ORDERING_MODES:
         raise ValueError(f"unknown ordering mode {mode!r}; expected one of {ORDERING_MODES}")
+
+
+def order_statistic(mode: str, j, F: int):
+    """Rank k, among F sizes sorted ascending, of the size that popularity
+    rank j (0-based) gets: j + 1 under increasing, F - j under decreasing,
+    None under independent (a plain draw from the law). Its uniform is
+    Beta(k, F-k+1) (David & Nagaraja, Order Statistics)."""
+    check_ordering(mode)
     if mode == "independent":
-        return z
-    z = np.sort(z, axis=-1)
-    return z if mode == "increasing" else z[..., ::-1]
+        return None
+    return j + 1 if mode == "increasing" else F - j
 
 
-def apply_ordering(catalogue: ContentCatalogue, mode: str) -> ContentCatalogue:
-    """Permute the catalogue's size multiset against the popularity ranks."""
-    return replace(catalogue, sizes=order_sizes(catalogue.sizes, mode).copy(), ordering_mode=mode)
+def order_sizes(z, mode: str):
+    """Assign size draws to popularity ranks along the last axis of z: rank j
+    gets the k-th smallest, k = order_statistic(mode, j, F). So increasing
+    gives the most popular object the smallest file, decreasing the largest,
+    and independent keeps the drawn order.
+    """
+    F = np.shape(z)[-1]
+    k = order_statistic(mode, np.arange(F), F)
+    return z if k is None else np.sort(z, axis=-1)[..., k - 1]

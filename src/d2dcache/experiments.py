@@ -78,8 +78,8 @@ from .content import (
     ParetoSize,
     UniformSize,
     WeibullSize,
-    apply_ordering,
     mean_size,
+    order_sizes,
     sample_sizes,
     zipf_popularity,
 )
@@ -172,6 +172,8 @@ class ExperimentPreset:
         for name in ("iterations", "cache_capacity", "parallelism"):
             if not (isinstance(getattr(self, name), int) and getattr(self, name) >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if 2 * self.cache_capacity > self.catalogue_size:
             raise ConfigError("need catalogue_size >= 2 * cache_capacity")
         if self.out_format not in ("csv", "json"):
@@ -467,7 +469,7 @@ def run_preset(preset: ExperimentPreset) -> list:
     for variant, base, order, law in variants:
         with _annotated(f"building the size rule for variant={variant!r}"):
             rules.append(None if law is None else size_rule(inputs_at(preset.density, longest, base), law, order))
-    catalogues = [apply_ordering(base, order) for _, base, order, _ in variants]
+    catalogues = [replace(base, sizes=order_sizes(base.sizes, order)) for _, base, order, _ in variants]
 
     rows = []
     for s_idx, p_idx, sweep_name, value, density, tau in points:

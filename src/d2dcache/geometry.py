@@ -19,7 +19,7 @@ class Window:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
 
-def sample_disc(intensity, radius, rng: np.random.Generator | None = None):
+def sample_disc(intensity, radius, rng: np.random.Generator):
     """Distances to the origin of independent Poisson fields on discs.
 
     Field i is a homogeneous Poisson point process of intensity[i] points
@@ -36,7 +36,6 @@ def sample_disc(intensity, radius, rng: np.random.Generator | None = None):
     for name, value in (("intensity", intensity), ("radius", radius)):
         if not np.all(np.isfinite(value) & (value >= 0)):
             raise ValueError(f"{name} must be finite and nonnegative")
-    rng = np.random.default_rng() if rng is None else rng
     counts = rng.poisson(intensity * math.pi * radius**2)
     owner = np.repeat(np.arange(counts.size), counts)
     return owner, radius[owner] * np.sqrt(1.0 - rng.random(owner.size))

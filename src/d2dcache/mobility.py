@@ -36,9 +36,8 @@ class ExponentialLifespan:
 LifespanLaw = FixedLifespan | ExponentialLifespan
 
 
-def sample_lifespan(law: LifespanLaw, rng: np.random.Generator | None = None, size=None):
+def sample_lifespan(law: LifespanLaw, rng: np.random.Generator, size=None):
     """Draw lifespans in seconds (scalar or array of `size`)."""
-    rng = np.random.default_rng() if rng is None else rng
     if isinstance(law, FixedLifespan):
         return np.full(size, law.mean) if size is not None else law.mean
     if isinstance(law, ExponentialLifespan):

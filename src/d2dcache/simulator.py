@@ -1,4 +1,4 @@
-"""Event-level Monte Carlo estimation of service success probabilities.
+"""Event-level Monte Carlo estimate of the service success probability.
 
 Each request draws only what can serve it. Under independent thinning,
 the transmitters that cache the requested object j form a Poisson field
@@ -28,8 +28,8 @@ Monte Carlo does not read the value it checks.
 
 Reproducibility contract: requests run in blocks of BLOCK_SIZE. Block k
 draws only from the stream SeedSequence(master_seed, spawn_key=(k,)), in
-this order: the requested ranks (none when the object is pinned), the
-requested sizes (none for a fixed catalogue), the transmitter counts,
+this order: the requested ranks, the requested sizes (none for a fixed
+catalogue), the transmitter counts,
 their distances, their fading, their lifespans. Blocks are concatenated
 in index order, so estimates are bit-identical for any parallelism
 width and across process boundaries.
@@ -48,7 +48,7 @@ from scipy.special import gamma as gamma_fn, gammainc, gammaincc
 
 from .analytics import AnalyticInputs, MetricEstimate
 from .channel import ExponentialFading, link_bits, sample_fading
-from .content import ORDERING_MODES, SizeLaw
+from .content import SizeLaw, check_ordering, order_statistic
 from .geometry import Window, sample_disc
 from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
 
@@ -105,8 +105,10 @@ class SimulationConfig:
             raise ValueError("need at least one iteration")
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
-        if self.reorder not in ORDERING_MODES:
-            raise ValueError(f"unknown ordering mode {self.reorder!r}; expected one of {ORDERING_MODES}")
+        check_ordering(self.reorder)
+        seeds = self.master_seed if isinstance(self.master_seed, tuple) else (self.master_seed,)
+        if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
+            raise ValueError(f"master_seed must be a nonnegative integer or a tuple of them, got {self.master_seed!r}")
 
 
 def _campbell_terms(inputs: AnalyticInputs, z, b):
@@ -172,27 +174,20 @@ def _request_sizes(config: SimulationConfig, rng: np.random.Generator, j: np.nda
     if config.size_law is None:
         return config.inputs.catalogue.sizes[j]
     F = config.inputs.catalogue.F
-    if config.reorder == "independent":
-        u = rng.random(j.size)
-    elif config.reorder == "increasing":
-        u = rng.beta(j + 1, F - j)
-    else:
-        u = rng.beta(F - j, j + 1)
+    k = order_statistic(config.reorder, j, F)
+    u = rng.random(j.size) if k is None else rng.beta(k, F - k + 1)
     return np.asarray(config.size_law.inverse_cdf(u), dtype=float)
 
 
-def _run_block(config: SimulationConfig, radii, pinned_object: int | None, k: int):
+def _run_block(config: SimulationConfig, radii, k: int):
     """Success of each request in block k, and the largest truncation bound
     of a capped disc drawn for it (radii, per object, is None under a size
     law: each request then gets its own)."""
     inputs = config.inputs
     n = min(BLOCK_SIZE, config.iterations - k * BLOCK_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(k,)))
-    if pinned_object is None:
-        cum = np.cumsum(inputs.catalogue.popularity.a)
-        j = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), inputs.catalogue.F - 1)
-    else:
-        j = np.full(n, pinned_object)
+    cum = np.cumsum(inputs.catalogue.popularity.a)
+    j = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), inputs.catalogue.F - 1)
     z = _request_sizes(config, rng, j)
     b = inputs.policy.b[j]
     worst = 0.0
@@ -209,15 +204,16 @@ def _run_block(config: SimulationConfig, radii, pinned_object: int | None, k: in
     return np.bincount(owner, weights=delivered, minlength=n) > 0, worst
 
 
-def _estimate(config: SimulationConfig, pinned_object: int | None) -> MetricEstimate:
+def estimate_total_success(config: SimulationConfig) -> MetricEstimate:
+    """Estimate the popularity-averaged success probability."""
     inputs = config.inputs
     half_width = config.window.half_width
     radii, worst = None, 0.0
     if config.size_law is None:
-        objects = np.flatnonzero(inputs.policy.b > 0) if pinned_object is None else np.array([pinned_object])
+        objects = np.flatnonzero(inputs.policy.b > 0)
         radii = np.zeros(inputs.catalogue.F)
         radii[objects], worst = _radii(inputs, inputs.catalogue.sizes[objects], inputs.policy.b[objects], half_width)
-    run = functools.partial(_run_block, config, radii, pinned_object)
+    run = functools.partial(_run_block, config, radii)
     blocks = range(-(-config.iterations // BLOCK_SIZE))
     workers = min(config.parallelism, len(blocks))
     if workers == 1:
@@ -231,23 +227,10 @@ def _estimate(config: SimulationConfig, pinned_object: int | None) -> MetricEsti
             f"window half-width {half_width:g} m caps the simulation disc below its computed radius: "
             f"truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
             UserWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     success = np.concatenate([s for s, _ in parts])
     p = float(success.mean())
     stderr = math.sqrt(p * (1.0 - p) / success.size)
     return MetricEstimate(value=p, standard_error=stderr, sample_count=int(success.size))
 
-
-def estimate_total_success(config: SimulationConfig) -> MetricEstimate:
-    """Estimate the popularity-averaged success probability."""
-    return _estimate(config, None)
-
-
-def estimate_per_object_success(config: SimulationConfig, j: int) -> MetricEstimate:
-    """Estimate the success probability with every request pinned to object j."""
-    if not 0 <= j < config.inputs.catalogue.F:
-        raise ValueError(f"object index {j} out of range")
-    if config.inputs.policy.b[j] == 0.0:
-        return MetricEstimate(value=0.0, standard_error=0.0, sample_count=0)
-    return _estimate(config, j)

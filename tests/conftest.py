@@ -1,8 +1,11 @@
-"""Shared fixtures and the acceptance-criteria summary hook.
+"""Shared fixtures, the single_object helper and the acceptance-criteria
+summary hook.
 
 Tests marked ``@pytest.mark.criterion(n, "label", part="...")`` are
 aggregated at the end of the run into one PASS/FAIL line per criterion.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from d2dcache import (
     ExponentialFading,
     ExponentialLifespan,
     ExponentialSize,
+    PopularityLaw,
     RadioParams,
     popularity_weighted_marginals,
     sample_sizes,
@@ -39,6 +43,19 @@ def video_inputs():
         lifespan=ExponentialLifespan(1000.0),
         policy=policy,
         catalogue=catalogue,
+    )
+
+
+def single_object(inputs, j):
+    """inputs with every request for one object of object j's size and
+    cache marginal: it takes rank 0 at popularity 1, and nothing else is cached."""
+    F = inputs.catalogue.F
+    a, b, sizes = np.zeros(F), np.zeros(F), inputs.catalogue.sizes.copy()
+    a[0], b[0], sizes[0] = 1.0, inputs.policy.b[j], sizes[j]
+    return replace(
+        inputs,
+        policy=replace(inputs.policy, b=b),
+        catalogue=ContentCatalogue(popularity=PopularityLaw(F, a), sizes=sizes),
     )
 
 

@@ -35,8 +35,8 @@ from d2dcache import (
     build_preset,
     expected_success,
     fading_moment,
+    lifespan_moment,
     lifespan_moment_exponential,
-    lifespan_moment_fixed,
     popularity_weighted_marginals,
     run_preset,
     sample_fading,
@@ -94,11 +94,13 @@ def _row_at(rows, sweep_value):
 def test_audio_point_value(validation_rows):
     row = _row_at(validation_rows["validate_audio"], 100.0)
     print(
-        f"audio at mean lifespan 100 s: analytic={row.analytic:.4f} "
-        f"simulated={row.simulated:.4f} (reference 0.37 +/- 0.03)"
+        f"audio at mean lifespan 100 s: analytic={row.analytic:.4f} (reference 0.37 +/- 0.03), "
+        f"simulated={row.simulated:.4f} +/- {row.stderr:.4f}"
     )
+    # the reference pins the exact value; the simulation, an estimate of
+    # that value, is held to it at 3 standard errors as in the video part
     assert abs(row.analytic - 0.37) <= 0.03
-    assert abs(row.simulated - 0.37) <= 0.03
+    assert abs(row.simulated - row.analytic) <= 3 * row.stderr
 
 
 def _video_reference(preset, tau):
@@ -122,7 +124,7 @@ def _video_reference(preset, tau):
     snr = preset.power / (preset.noise_density * preset.bandwidth)
     coeff = math.pi * preset.density * math.sqrt(snr) * math.gamma(1.5)
 
-    def lifespan_moment(z):
+    def moment(z):
         x0 = z / (preset.bandwidth * tau)
 
         def integrand(t):
@@ -132,7 +134,7 @@ def _video_reference(preset, tau):
 
         return integrate.quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-10, limit=200)[0]
 
-    return math.fsum(a[j] * -math.expm1(-coeff * b[j] * lifespan_moment(sizes[j])) for j in range(2 * K))
+    return math.fsum(a[j] * -math.expm1(-coeff * b[j] * moment(sizes[j])) for j in range(2 * K))
 
 
 @pytest.mark.criterion(2, "reference point values", part="video")
@@ -246,7 +248,7 @@ def _per_draw_failure(inputs, law, u):
     """Failure mass of each size draw (shared uniforms across laws)."""
     tau = inputs.lifespan.mean
     z = np.asarray(law.inverse_cdf(u))
-    its = lifespan_moment_fixed(z, tau, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
+    its = lifespan_moment(FixedLifespan(tau), z, inputs.radio.bandwidth, inputs.radio.pathloss_exponent)
     a = inputs.catalogue.popularity.a
     b = inputs.policy.b
     cached = np.nonzero(b > 0)[0]
@@ -343,7 +345,7 @@ def test_lifespan_quadrature_against_sampling():
     rng = np.random.default_rng(np.random.SeedSequence((98, 2)))
     t = rng.exponential(1.0, size=10_000_000)
     for z, tau, bandwidth, alpha in sets:
-        draws = np.asarray(lifespan_moment_fixed(z / t, tau, bandwidth, alpha))
+        draws = np.asarray(lifespan_moment(FixedLifespan(tau), z / t, bandwidth, alpha))
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         quad_value = lifespan_moment_exponential(z, tau, bandwidth, alpha)
         assert abs(draws.mean() - quad_value) <= 3 * se, (z, tau, bandwidth, alpha)

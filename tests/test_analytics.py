@@ -25,8 +25,6 @@ from d2dcache import (
     expected_success,
     lifespan_moment,
     lifespan_moment_exponential,
-    lifespan_moment_fixed,
-    per_object_success,
     popularity_weighted_marginals,
     total_success,
     zipf_popularity,
@@ -41,6 +39,8 @@ from d2dcache.analytics import (
 )
 from d2dcache.experiments import COMPARISON_SIZE_LAWS
 
+from conftest import single_object
+
 W = 5e6
 ALPHA = 4.0
 ORDERS = ("independent", "increasing", "decreasing")
@@ -48,6 +48,11 @@ ORDERS = ("independent", "increasing", "decreasing")
 
 def rng_for(tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((95, tag)))
+
+
+def fixed_moment(z, tau, bandwidth, alpha):
+    """I_T under a fixed lifespan tau, in lifespan_moment_exponential's argument order."""
+    return lifespan_moment(FixedLifespan(tau), z, bandwidth, alpha)
 
 
 def make_inputs(
@@ -81,32 +86,32 @@ def make_inputs(
 
 def test_fixed_moment_reference_point():
     # z/(W*tau) = 0.2 at alpha=4 gives (2^0.2 - 1)^(-1/2)
-    value = lifespan_moment_fixed(0.2 * W * 50.0, 50.0, W, 4.0)
+    value = fixed_moment(0.2 * W * 50.0, 50.0, W, 4.0)
     assert value == pytest.approx((2.0 ** 0.2 - 1.0) ** -0.5, rel=1e-12)
     assert value == pytest.approx(2.59327, abs=1e-5)
 
 
 def test_fixed_moment_unit_threshold():
     # z = W*tau makes the rate threshold exactly 1 bit/s/Hz, so the moment is 1
-    assert lifespan_moment_fixed(W * 100.0, 100.0, W, 4.0) == 1.0
-    assert lifespan_moment_fixed(W * 100.0, 100.0, W, 3.0) == 1.0
+    assert fixed_moment(W * 100.0, 100.0, W, 4.0) == 1.0
+    assert fixed_moment(W * 100.0, 100.0, W, 3.0) == 1.0
 
 
 def test_fixed_moment_underflows_to_zero_for_huge_files():
-    assert lifespan_moment_fixed(2000.0 * W * 100.0, 100.0, W, 4.0) == 0.0
+    assert fixed_moment(2000.0 * W * 100.0, 100.0, W, 4.0) == 0.0
 
 
 def test_fixed_moment_accepts_arrays():
     z = np.array([0.2, 1.0, 2000.0]) * W * 100.0
-    out = lifespan_moment_fixed(z, 100.0, W, 4.0)
+    out = fixed_moment(z, 100.0, W, 4.0)
     np.testing.assert_allclose(out, [(2.0 ** 0.2 - 1.0) ** -0.5, 1.0, 0.0], rtol=1e-12)
 
 
 def test_moment_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
-        lifespan_moment_fixed(-1.0, 100.0, W, 4.0)
+        fixed_moment(-1.0, 100.0, W, 4.0)
     with pytest.raises(ValueError):
-        lifespan_moment_fixed(1e9, 0.0, W, 4.0)
+        fixed_moment(1e9, 0.0, W, 4.0)
     with pytest.raises(ValueError):
         lifespan_moment_exponential(0.0, 100.0, W, 4.0)
     with pytest.raises(ValueError):
@@ -125,7 +130,7 @@ def test_exponential_moment_lower_bound():
     # at t = 1 (which is the fixed-lifespan moment at the same mean)
     for z, tau in ((1e9, 100.0), (1e7, 10.0), (5e8, 1000.0)):
         exp_val = lifespan_moment_exponential(z, tau, W, 4.0)
-        fix_val = lifespan_moment_fixed(z, tau, W, 4.0)
+        fix_val = fixed_moment(z, tau, W, 4.0)
         assert exp_val >= math.exp(-1.0) * fix_val
 
 
@@ -135,7 +140,7 @@ def test_exponential_moment_against_monte_carlo():
     for z, tau in ((1e9, 1000.0), (1e7, 100.0), (5e8, 40.0)):
         quad_value = lifespan_moment_exponential(z, tau, W, 4.0)
         t = rng_for(0).exponential(1.0, size=1_000_000)
-        draws = np.asarray(lifespan_moment_fixed(z / t, tau, W, 4.0))
+        draws = np.asarray(fixed_moment(z / t, tau, W, 4.0))
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - quad_value) < 3 * se, (z, tau)
 
@@ -197,7 +202,6 @@ def test_expected_success_under_exponential_lifespan_for_every_size_law(law):
 
 
 _NONFINITE_CALLS = {
-    "fixed": lifespan_moment_fixed,
     "exponential": lifespan_moment_exponential,
     "dispatch_fixed": lambda z, tau, w, alpha: lifespan_moment(FixedLifespan(tau), z, w, alpha),
     "dispatch_exponential": lambda z, tau, w, alpha: lifespan_moment(ExponentialLifespan(tau), z, w, alpha),
@@ -231,7 +235,8 @@ def test_package_import_does_not_load_scipy_integrate():
 
 def test_moment_dispatcher_matches_specialized_forms():
     z = 1e9
-    assert lifespan_moment(FixedLifespan(100.0), z, W, 4.0) == lifespan_moment_fixed(z, 100.0, W, 4.0)
+    threshold = 2.0 ** (z / (W * 100.0)) - 1.0
+    assert lifespan_moment(FixedLifespan(100.0), z, W, 4.0) == pytest.approx(threshold**-0.5, rel=1e-12)
     assert lifespan_moment(ExponentialLifespan(100.0), z, W, 4.0) == pytest.approx(
         lifespan_moment_exponential(z, 100.0, W, 4.0), rel=1e-12
     )
@@ -262,16 +267,20 @@ def test_inputs_validation():
 
 
 def test_uncached_object_never_served():
+    # an uncached object's size does not enter total success, however small
     inputs = make_inputs()
     for j in (10, 50, 99):
-        est = per_object_success(inputs, j)
-        assert est.value == 0.0
+        sizes = inputs.catalogue.sizes.copy()
+        sizes[j] = 1.0
+        tiny = replace(inputs, catalogue=replace(inputs.catalogue, sizes=sizes))
+        assert total_success(tiny).value == total_success(inputs).value
+    assert total_success(single_object(inputs, 10)).value == 0.0
 
 
-def test_per_object_success_saturates_with_density():
-    values = [per_object_success(make_inputs(density=d), 0).value for d in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)]
+def test_single_object_success_saturates_with_density():
+    values = [total_success(single_object(make_inputs(density=d), 0)).value for d in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)]
     assert all(v1 < v2 for v1, v2 in zip(values, values[1:]))
-    assert per_object_success(make_inputs(density=10.0), 0).value == 1.0
+    assert total_success(single_object(make_inputs(density=10.0), 0)).value == 1.0
 
 
 def test_total_success_zero_with_empty_caches():
@@ -371,12 +380,15 @@ def test_expected_success_rejects_stream_without_samples():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     with pytest.raises(ValueError, match="mc_samples"):
         expected_success(inputs, UniformSize(5e7, 2e9), rng=rng_for(4))
+    # and samples without a stream: no draw is unseeded
+    with pytest.raises(ValueError, match="rng"):
+        expected_success(inputs, UniformSize(5e7, 2e9), mc_samples=5000)
 
 
 def test_expected_success_requires_enough_samples():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     with pytest.raises(ValueError, match="at least 1000"):
-        expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=999)
+        expected_success(inputs, UniformSize(1e8, 1e9), mc_samples=999, rng=rng_for(4))
 
 
 @pytest.mark.parametrize("mc_samples", [1500.5, 2000.0, math.nan, math.inf, "5000"])
@@ -407,7 +419,7 @@ def test_sampled_expectation_matches_sorted_catalogue_draws(order, lifespan):
     for _ in range(300):
         sizes = np.sort(law.inverse_cdf(rng.random(100)))
         sizes = sizes if order == "increasing" else sizes[::-1]
-        catalogue = ContentCatalogue(popularity=inputs.catalogue.popularity, sizes=sizes, ordering_mode=order)
+        catalogue = ContentCatalogue(popularity=inputs.catalogue.popularity, sizes=sizes)
         direct.append(total_success(replace(inputs, catalogue=catalogue)).value)
     assert est.sample_count == 300
     assert est.value == pytest.approx(math.fsum(direct) / 300, rel=1e-12)
@@ -492,7 +504,7 @@ def test_size_rule_matches_monte_carlo(law, order, lifespan, tabulated_exponenti
     # broad Beta(k, 21 - k), so a wrong k or density would show
     if lifespan == "fixed":
         inputs = make_inputs(F=20, lifespan=FixedLifespan(RULE_TAU))
-        moment = lambda z: lifespan_moment_fixed(z, RULE_TAU, W, ALPHA)  # noqa: E731
+        moment = lambda z: fixed_moment(z, RULE_TAU, W, ALPHA)  # noqa: E731
     else:
         inputs = make_inputs(F=20, lifespan=ExponentialLifespan(RULE_TAU))
         moment = tabulated_exponential_moment
@@ -542,7 +554,7 @@ def test_size_rule_narrows_its_step_for_large_ordered_caches(monkeypatch, law, o
     assert abs(value - fine) <= 1e-12, (value, fine)
     case = (sorted(COMPARISON_SIZE_LAWS).index(law), ORDERS.index(order))
     rng = np.random.default_rng(np.random.SeedSequence((95, 14, *case)))
-    moment = lambda z: lifespan_moment_fixed(z, RULE_TAU, W, ALPHA)  # noqa: E731
+    moment = lambda z: fixed_moment(z, RULE_TAU, W, ALPHA)  # noqa: E731
     draws = _monte_carlo_success(inputs, size_law, order, moment, rng)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(value - draws.mean()) <= 4 * se + 3 / draws.size, (value, draws.mean(), se)

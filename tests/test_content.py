@@ -13,12 +13,12 @@ from d2dcache import (
     ParetoSize,
     UniformSize,
     WeibullSize,
-    apply_ordering,
     mean_size,
     order_sizes,
     sample_sizes,
     zipf_popularity,
 )
+from d2dcache.content import order_statistic
 
 VIDEO_LAWS = {
     "uniform": UniformSize(0.05e9, 2e9),
@@ -146,26 +146,23 @@ def test_inverse_cdf_monotone_for_common_random_numbers():
 # ---------------------------------------------------------------- catalogue
 
 
-def test_apply_ordering_reference_permutations():
-    pop = zipf_popularity(3, 1.0)
-    cat = ContentCatalogue(popularity=pop, sizes=np.array([3.0, 1.0, 2.0]))
-    inc = apply_ordering(cat, "increasing")
-    dec = apply_ordering(cat, "decreasing")
-    ind = apply_ordering(cat, "independent")
-    np.testing.assert_allclose(inc.sizes, [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(dec.sizes, [3.0, 2.0, 1.0])
-    np.testing.assert_allclose(ind.sizes, [3.0, 1.0, 2.0])
-    np.testing.assert_allclose(inc.popularity.a, cat.popularity.a)
+def test_order_statistic_names_the_rank_that_order_sizes_assigns():
+    z = np.array([3.0, 1.0, 2.0, 5.0])
+    np.testing.assert_array_equal(order_statistic("increasing", np.arange(4), 4), [1, 2, 3, 4])
+    np.testing.assert_array_equal(order_statistic("decreasing", np.arange(4), 4), [4, 3, 2, 1])
+    np.testing.assert_array_equal(order_sizes(z, "increasing"), [1.0, 2.0, 3.0, 5.0])
+    np.testing.assert_array_equal(order_sizes(z, "decreasing"), [5.0, 3.0, 2.0, 1.0])
+    assert order_statistic("increasing", 0, 200) == 1
+    assert order_statistic("decreasing", 0, 200) == 200
+    assert order_statistic("independent", 5, 200) is None
+    with pytest.raises(ValueError, match="ordering mode"):
+        order_statistic("shuffled", 0, 200)
 
 
-def test_apply_ordering_preserves_multiset():
-    pop = zipf_popularity(50, 0.78)
+def test_order_sizes_preserves_multiset():
     sizes = sample_sizes(VIDEO_LAWS["weibull"], 50, rng_for(7))
-    cat = ContentCatalogue(popularity=pop, sizes=sizes)
     for mode in ("independent", "increasing", "decreasing"):
-        out = apply_ordering(cat, mode)
-        np.testing.assert_allclose(np.sort(out.sizes), np.sort(sizes))
-        assert out.ordering_mode == mode
+        np.testing.assert_allclose(np.sort(order_sizes(sizes, mode)), np.sort(sizes))
 
 
 def test_order_sizes_sorts_each_row():
@@ -178,24 +175,9 @@ def test_order_sizes_sorts_each_row():
         order_sizes(z, "shuffled")
 
 
-def test_apply_ordering_rejects_unknown_mode():
-    pop = zipf_popularity(3, 1.0)
-    cat = ContentCatalogue(popularity=pop, sizes=np.array([3.0, 1.0, 2.0]))
-    with pytest.raises(ValueError):
-        apply_ordering(cat, "shuffled")
-
-
-def test_catalogue_validates_sizes_and_ordering():
+def test_catalogue_validates_sizes():
     pop = zipf_popularity(3, 1.0)
     with pytest.raises(ValueError):
         ContentCatalogue(popularity=pop, sizes=np.array([1.0, -2.0, 3.0]))
     with pytest.raises(ValueError):
         ContentCatalogue(popularity=pop, sizes=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        ContentCatalogue(
-            popularity=pop, sizes=np.array([3.0, 1.0, 2.0]), ordering_mode="increasing"
-        )
-    with pytest.raises(ValueError):
-        ContentCatalogue(
-            popularity=pop, sizes=np.array([1.0, 3.0, 2.0]), ordering_mode="decreasing"
-        )

@@ -496,6 +496,14 @@ def test_cli_validate_config(tmp_path, capsys):
     assert experiments.main(["validate", str(bad)]) == 1
 
 
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    path = write_config(tmp_path, "[validate_audio]\nseed = -1\n")
+    assert experiments.main(["validate", str(path)]) == 1
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert experiments.main(["run", "validate_audio", "--seed", "-1"]) == 1
+    assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_cli_run_unknown_target(capsys):
     assert experiments.main(["run", "validate_ultrasound"]) == 1
     assert experiments.main(["run", "expected_comparison", "--mc-samples", "1000"]) == 1

@@ -7,30 +7,36 @@ import pytest
 from scipy import integrate, stats
 
 from d2dcache import (
+    ORDERING_MODES,
     AnalyticInputs,
     ContentCatalogue,
     ExponentialFading,
     ExponentialLifespan,
     ExponentialSize,
     FixedLifespan,
+    PopularityLaw,
     RadioParams,
     SimulationConfig,
+    UniformSize,
     WeibullSize,
     Window,
     build_preset,
-    estimate_per_object_success,
     estimate_total_success,
     link_bits,
-    per_object_success,
     popularity_weighted_marginals,
     required_half_width,
     sample_disc,
+    sample_fading,
+    sample_lifespan,
     sample_sizes,
     total_success,
     zipf_popularity,
 )
+from d2dcache.analytics import size_rule
 from d2dcache.experiments import _radio
 from d2dcache.simulator import BLOCK_SIZE, _campbell_terms, _qualifier_means, _radii, _request_sizes, _run_block
+
+from conftest import single_object
 
 
 def small_inputs(density=2.5e-3, tau_mean=100.0, F=20, K=3, size_bits=1e7, lifespan=ExponentialLifespan):
@@ -69,14 +75,21 @@ def test_all_empty_caches_never_serve():
     assert est.value == 0.0
 
 
-def test_uncached_object_estimate_is_exact_zero():
+def test_requests_for_an_uncached_object_never_serve():
+    # every request is for object 0, which no transmitter caches; the
+    # cached objects 1-5 are never requested
     inputs = small_inputs()
-    est = estimate_per_object_success(make_config(inputs), 15)
-    assert est.value == 0.0 and est.standard_error == 0.0 and est.sample_count == 0
-    with pytest.raises(ValueError):
-        estimate_per_object_success(make_config(inputs), 20)
-    with pytest.raises(ValueError):
-        estimate_per_object_success(make_config(inputs), -1)
+    b = inputs.policy.b.copy()
+    b[0] = 0.0
+    a = np.zeros(20)
+    a[0] = 1.0
+    unrequested = replace(
+        inputs,
+        policy=replace(inputs.policy, b=b),
+        catalogue=replace(inputs.catalogue, popularity=PopularityLaw(20, a)),
+    )
+    est = estimate_total_success(make_config(unrequested, iterations=300))
+    assert est.value == 0.0 and est.standard_error == 0.0 and est.sample_count == 300
 
 
 def test_single_close_transmitter_delivers():
@@ -113,15 +126,15 @@ def _block_radii(config):
 def test_same_seed_reproduces_every_outcome():
     config = make_config(small_inputs(), iterations=3 * BLOCK_SIZE, seed=42)
     radii = _block_radii(config)
-    first = [_run_block(config, radii, None, k)[0] for k in range(3)]
-    second = [_run_block(config, radii, None, k)[0] for k in range(3)]
+    first = [_run_block(config, radii, k)[0] for k in range(3)]
+    second = [_run_block(config, radii, k)[0] for k in range(3)]
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
-    shifted = [_run_block(replace(config, master_seed=43), radii, None, k)[0] for k in range(3)]
+    shifted = [_run_block(replace(config, master_seed=43), radii, k)[0] for k in range(3)]
     assert any(not np.array_equal(a, b) for a, b in zip(first, shifted))
     # a full block's outcomes do not depend on how many requests follow it
     short = replace(config, iterations=BLOCK_SIZE + 10)
-    assert np.array_equal(_run_block(short, radii, None, 0)[0], first[0])
-    assert _run_block(short, radii, None, 1)[0].size == 10
+    assert np.array_equal(_run_block(short, radii, 0)[0], first[0])
+    assert _run_block(short, radii, 1)[0].size == 10
 
 
 def test_parallelism_does_not_change_the_estimate():
@@ -142,6 +155,22 @@ def test_parallelism_does_not_change_the_estimate():
     assert ordered[0] == ordered[1]
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: sample_disc(1e-3, 100.0),
+        lambda: sample_fading(ExponentialFading(1.0)),
+        lambda: sample_lifespan(ExponentialLifespan(100.0)),
+        lambda: sample_sizes(ExponentialSize(1e-9), 10),
+    ],
+    ids=["disc", "fading", "lifespan", "sizes"],
+)
+def test_samplers_require_a_generator(draw):
+    # no draw can bypass a seeded generator
+    with pytest.raises(TypeError):
+        draw()
+
+
 def test_tuple_master_seeds_are_accepted():
     inputs = small_inputs()
     a = estimate_total_success(make_config(inputs, iterations=40, seed=(3, 1, 0)))
@@ -149,15 +178,22 @@ def test_tuple_master_seeds_are_accepted():
     assert a.value == b.value
 
 
+@pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, "7"], ids=["negative", "negative-entry", "float", "str"])
+def test_master_seed_must_be_nonnegative_integers(seed):
+    # numpy would only refuse it inside a block, without naming the field
+    with pytest.raises(ValueError, match="master_seed"):
+        make_config(small_inputs(), iterations=10, seed=seed)
+
+
 # ------------------------------------------------------- against the closed form
 
 
-def test_pinned_objects_match_closed_form():
+def test_single_object_catalogues_match_closed_form():
     inputs = small_inputs(tau_mean=100.0)
-    config = make_config(inputs, iterations=1500, seed=5)
     for j in (0, 2, 5):
-        sim = estimate_per_object_success(config, j)
-        ana = per_object_success(inputs, j)
+        one = single_object(inputs, j)
+        sim = estimate_total_success(make_config(one, iterations=1500, seed=5))
+        ana = total_success(one)
         se = max(sim.standard_error, 1e-12)
         assert abs(sim.value - ana.value) < 3 * se, (j, sim.value, ana.value)
 
@@ -200,18 +236,14 @@ def test_validate_catalogues_match_closed_form_at_grid_ends(name, tau):
 
 def test_popular_small_files_served_more_often():
     # under increasing size order the most popular object has the smallest
-    # file, so pinning it must beat pinning the least popular cached one
+    # file, so requests for it alone must beat requests for the least
+    # popular cached one alone
     pop = zipf_popularity(20, 0.78)
     sizes = np.sort(np.random.default_rng(np.random.SeedSequence((96, 0))).exponential(5e8, 20))
-    inputs = replace(
-        small_inputs(tau_mean=100.0),
-        catalogue=ContentCatalogue(
-            popularity=pop, sizes=sizes, ordering_mode="increasing"
-        ),
+    inputs = replace(small_inputs(tau_mean=100.0), catalogue=ContentCatalogue(popularity=pop, sizes=sizes))
+    top, bottom = (
+        estimate_total_success(make_config(single_object(inputs, j), iterations=1200, seed=8)) for j in (0, 5)
     )
-    config = make_config(inputs, iterations=1200, seed=8)
-    top = estimate_per_object_success(config, 0)
-    bottom = estimate_per_object_success(config, 5)
     se = math.hypot(top.standard_error, bottom.standard_error)
     assert top.value - bottom.value > 3 * se
 
@@ -322,19 +354,39 @@ def test_decreasing_rank_sizes_follow_the_order_statistic(j):
     assert p_value > 0.01
 
 
-def _warning_messages(config):
+@pytest.mark.parametrize("mode", ORDERING_MODES)
+def test_request_sizes_and_size_rule_give_each_rank_one_marginal(mode):
+    # the simulator's draws and expected_success's rule both take rank j's
+    # order statistic from content.order_statistic; under a uniform law the
+    # mean of rank j's draws must match the mean of its row of the rule
+    inputs = small_inputs(F=200, K=5)
+    law = UniformSize(0.05e9, 2e9)
+    config = make_config(inputs, iterations=10, size_law=law, reorder=mode)
+    rule = size_rule(inputs, law, mode)
+    for j in (0, 5, 9):
+        rng = np.random.default_rng(np.random.SeedSequence((97, ORDERING_MODES.index(mode), j)))
+        z = _request_sizes(config, rng, np.full(20_000, j))
+        want = float(rule.weights[0 if mode == "independent" else j] @ rule.sizes)
+        se = z.std(ddof=1) / math.sqrt(z.size)
+        assert abs(z.mean() - want) <= 4 * se, (j, z.mean(), want, se)
+
+
+def _user_warnings(config):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        estimate_per_object_success(config, 0)
-    return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        estimate_total_success(config)
+    return [w for w in caught if issubclass(w.category, UserWarning)]
 
 
 def test_narrow_window_warns():
     # object 0's computed radius is about 80 m; a 40 m window caps it
     inputs = small_inputs(tau_mean=100.0)
-    narrow = make_config(inputs, iterations=5, half_width=40.0)
-    messages = _warning_messages(narrow)
+    narrow = make_config(single_object(inputs, 0), iterations=5, half_width=40.0)
+    caught = _user_warnings(narrow)
+    messages = [str(w.message) for w in caught]
     assert len(messages) == 1 and "half-width 40 m" in messages[0]
+    # the warning names the line that called estimate_total_success
+    assert caught[0].filename == __file__
     b, z = inputs.policy.b[0], inputs.catalogue.sizes[0]
     oracle_out = _outside_mean_oracle(inputs, z, b, 40.0)
     oracle_in = _outside_mean_oracle(inputs, z, b, 1e-9) - oracle_out
@@ -345,7 +397,8 @@ def test_narrow_window_warns():
 
 def test_preset_window_does_not_warn():
     inputs = small_inputs(tau_mean=100.0)
-    assert _warning_messages(make_config(inputs, iterations=5)) == []
+    assert _user_warnings(make_config(inputs, iterations=5)) == []
+    # nor any other warning, e.g. a numpy overflow on the total-success path
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         estimate_total_success(make_config(inputs, iterations=5))

@@ -3,7 +3,8 @@
 For each numeric field of each model dataclass (and each numeric INI key
 of a config file), any float is either rejected with ValueError
 (ConfigError for presets and config files) or was finite; the integer
-preset fields cache_capacity and parallelism must also be at least 1.
+preset fields cache_capacity and parallelism must also be at least 1,
+and seed at least 0.
 NaN and +-inf are always among the examples tried, because comparisons
 with NaN are false and so slip past a plain range check.
 """
@@ -100,13 +101,13 @@ def test_dataclass_fields_accept_only_finite_values(name, key, value):
     assert math.isfinite(value), f"{name}({key}={value!r}) was accepted"
 
 
-# preset fields that must moreover be positive integers, with their floors
-POSITIVE_INTEGER_KEYS = {"cache_capacity": 1, "parallelism": 1}
+# preset fields that must moreover be integers, with their floors
+INTEGER_FLOORS = {"cache_capacity": 1, "parallelism": 1, "seed": 0}
 
 
 def _admissible(key, value):
-    if key in POSITIVE_INTEGER_KEYS:
-        return math.isfinite(value) and value >= POSITIVE_INTEGER_KEYS[key] and value.is_integer()
+    if key in INTEGER_FLOORS:
+        return math.isfinite(value) and value >= INTEGER_FLOORS[key] and value.is_integer()
     return math.isfinite(value)
 
 
@@ -122,6 +123,7 @@ PRESET_OVERRIDES = {
     "tau_grid": lambda value: dict(tau_grid=(10.0, value)),
     "cache_capacity": lambda value: dict(cache_capacity=_integral(value)),
     "parallelism": lambda value: dict(parallelism=_integral(value)),
+    "seed": lambda value: dict(seed=_integral(value)),
 }
 
 
