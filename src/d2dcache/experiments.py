@@ -101,11 +101,11 @@ CACHE_CAPACITY = 5
 ITERATIONS = 2000
 AUDIO_MEAN_BITS = 1e7
 VIDEO_MEAN_BITS = 1e9
-AUDIO_TAU_GRID = tuple(np.linspace(10.0, 100.0, 10))
-VIDEO_TAU_GRID = tuple(np.linspace(100.0, 1000.0, 10))
+AUDIO_TAU_GRID = tuple(np.linspace(10.0, 100.0, 10).tolist())
+VIDEO_TAU_GRID = tuple(np.linspace(100.0, 1000.0, 10).tolist())
 COMPARISON_LIFESPAN = 1000.0
 COMPARISON_CATALOGUE_SIZE = 200
-DENSITY_GRID = tuple(np.logspace(-4, -2, 7))
+DENSITY_GRID = tuple(np.logspace(-4, -2, 7).tolist())
 
 COMPARISON_SIZE_LAWS = {
     "uniform": UniformSize(0.05e9, 2e9),
@@ -189,7 +189,7 @@ class ExperimentPreset:
         return math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRow:
     """One (sweep point, variant) result; its fields are CSV_COLUMNS.
 

@@ -19,12 +19,11 @@ number of qualifiers inside and beyond R is
 
 with the lower and upper incomplete gamma functions. The disc misses a
 success exactly when it holds no qualifier and the plane beyond holds
-one, with probability beta(R) = exp(-M_in) (1 - exp(-M_out)). R is the
-smallest radius with beta(R) <= TRUNCATION_BOUND, found by bisection in
-log R, and capped at the window's half-width; the estimate warns when
-the cap binds. Under other fading laws R is the half-width. R comes from
-scipy.special alone and never from the closed forms in analytics, so the
-Monte Carlo does not read the value it checks.
+one, with probability beta(R) = exp(-M_in) (1 - exp(-M_out)). Bisection
+in log R finds R where elementary bounds (_qualifier_bounds) put beta at
+most TRUNCATION_BOUND, and the window's half-width caps it; the estimate
+warns when the cap binds. Under other fading laws R is the half-width. No
+scipy and no closed form go into R: the Monte Carlo reads nothing it checks.
 
 Reproducibility contract: requests run in blocks of BLOCK_SIZE. Block k
 draws only from the stream SeedSequence(master_seed, spawn_key=(k,)), in
@@ -40,11 +39,9 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammainc, gammaincc
 
 from .analytics import AnalyticInputs, MetricEstimate
 from .channel import ExponentialFading, link_bits, sample_fading
@@ -56,11 +53,9 @@ BLOCK_SIZE = 256
 # Largest probability that a request's disc misses a transmitter which
 # would have served it from farther away.
 TRUNCATION_BOUND = 1e-9
-# Bisection in log R over [half_width / 1024, half_width]: R comes out
-# within a factor 1 + 1.1e-4 above the smallest radius that meets the
-# bound, and never below half_width / 1024.
+# Bisection in log R over [half_width / 1024, half_width]: R comes out on
+# a grid of ratio 1 + 1.1e-4 there, and never below half_width / 1024.
 _BISECTIONS = 16
-_LN2 = math.log(2.0)
 
 
 def _exponential_lifespan_rule():
@@ -112,9 +107,9 @@ class SimulationConfig:
 
 
 def _campbell_terms(inputs: AnalyticInputs, z, b):
-    """Per request (rows) and lifespan node (columns): k_T, and the node's
-    share of the expected qualifiers in the whole plane,
-    lambda_t b w (2 pi/alpha) Gamma(2/alpha) k_T^(-2/alpha).
+    """Per request (rows) and lifespan node (columns): log k_T, then
+    log(share / Gamma(2/alpha)) and share, the node's part of the expected
+    qualifiers in the plane, lambda_t b w (2 pi/alpha) Gamma(2/alpha) k_T^(-2/alpha).
 
     z and b are per-request sizes (bits) and cache marginals, and
     inputs.fading is exponential. E_T is one evaluation under a fixed
@@ -129,21 +124,24 @@ def _campbell_terms(inputs: AnalyticInputs, z, b):
     else:
         raise TypeError(f"unknown lifespan law {law!r}")
     q = 2.0 / radio.pathloss_exponent
-    with np.errstate(over="ignore"):
-        # k_T overflows to inf for lifespans far too short to deliver z,
-        # where the node's share is then exactly 0
-        k = inputs.fading.rate * radio.noise / radio.power * np.expm1(np.outer(z, _LN2 / (radio.bandwidth * t)))
-        return k, (inputs.density * math.pi * q * gamma_fn(q)) * np.outer(b, w) * k**-q
+    with np.errstate(over="ignore", divide="ignore"):
+        # k_T = inf (a lifespan far too short to deliver z) has share 0; log k_T = 0 keeps it 0
+        k = inputs.fading.rate * radio.noise / radio.power * np.expm1(np.outer(z, math.log(2) / (radio.bandwidth * t)))
+        share = (inputs.density * math.pi * q * math.gamma(q)) * np.outer(b, w) * k**-q
+        return np.log(np.where(share > 0, k, 1.0)), np.log(share / math.gamma(q)), share
 
 
-def _qualifier_means(k, share, alpha: float, radius):
-    """(M_in, M_out) at one radius per row, from _campbell_terms' k and
-    share, each through its own incomplete gamma function: for tiny files
-    M_in is a tiny part of a huge whole."""
+def _qualifier_bounds(log_k, log_share, share, alpha: float, log_r):
+    """Per row at R = exp(log_r), M_in from below and M_out from above, each
+    summed on its own: for tiny files M_in is a tiny part of a huge whole.
+    With y = k_T R^alpha and q = 2/alpha < 1, gamma(q, y) >= y^q e^(-y) / q,
+    Gamma(q, y) <= y^(q-1) e^(-y) and gamma + Gamma = Gamma(q), so each node
+    takes the tighter bound on each. Log y keeps y = inf from making NaN."""
     q = 2.0 / alpha
-    with np.errstate(over="ignore"):
-        y = k * np.asarray(radius, dtype=float)[:, None] ** alpha
-    return (share * gammainc(q, y)).sum(axis=1), (share * gammaincc(q, y)).sum(axis=1)
+    log_y = log_k + alpha * log_r[:, None]
+    log_tail = log_share + (q - 1.0) * log_y - np.exp(log_y)
+    tail, head = np.exp(log_tail), np.exp(log_tail + log_y - math.log(q))
+    return np.maximum(share - tail, head).sum(axis=1), np.minimum(share - head, tail).sum(axis=1)
 
 
 def _radii(inputs: AnalyticInputs, z, b, half_width: float):
@@ -155,15 +153,16 @@ def _radii(inputs: AnalyticInputs, z, b, half_width: float):
     terms = _campbell_terms(inputs, z, b)
 
     def bound(log_r):
-        m_in, m_out = _qualifier_means(*terms, inputs.radio.pathloss_exponent, np.exp(log_r))
+        m_in, m_out = _qualifier_bounds(*terms, inputs.radio.pathloss_exponent, log_r)
         return np.exp(-m_in) * -np.expm1(-m_out)
 
     lo, hi = np.log(cap / 1024.0), np.log(cap)
-    at_cap = bound(hi)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        inside = bound(mid) <= TRUNCATION_BOUND
-        lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
+    with np.errstate(over="ignore"):
+        at_cap = bound(hi)
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            inside = bound(mid) <= TRUNCATION_BOUND
+            lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
     capped = at_cap > TRUNCATION_BOUND
     return np.where(capped, cap, np.exp(hi)), float(at_cap[capped].max(initial=0.0))
 
@@ -219,6 +218,7 @@ def estimate_total_success(config: SimulationConfig) -> MetricEstimate:
     if workers == 1:
         parts = [run(k) for k in blocks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks, chunksize=-(-len(blocks) // workers)))
     worst = max([worst] + [w for _, w in parts])

@@ -1,10 +1,12 @@
+import ast
+import inspect
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from d2dcache import (
     ORDERING_MODES,
@@ -32,9 +34,19 @@ from d2dcache import (
     total_success,
     zipf_popularity,
 )
+from d2dcache import simulator
 from d2dcache.analytics import size_rule
 from d2dcache.experiments import _radio
-from d2dcache.simulator import BLOCK_SIZE, _campbell_terms, _qualifier_means, _radii, _request_sizes, _run_block
+from d2dcache.simulator import (
+    _BISECTIONS,
+    BLOCK_SIZE,
+    TRUNCATION_BOUND,
+    _campbell_terms,
+    _qualifier_bounds,
+    _radii,
+    _request_sizes,
+    _run_block,
+)
 
 from conftest import single_object
 
@@ -56,6 +68,22 @@ def make_config(inputs, iterations=400, seed=11, **kw):
     return SimulationConfig(
         inputs=inputs, window=Window(hw), iterations=iterations, master_seed=seed, **kw
     )
+
+
+# ------------------------------------------------------------ independence
+
+
+def test_simulator_reads_no_closed_form():
+    # the Monte Carlo checks the closed form, so it may take only the input
+    # and result types from analytics, and nothing from scipy
+    imported = {}
+    for node in ast.walk(ast.parse(inspect.getsource(simulator))):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update({alias.name: set() for alias in node.names})
+    assert imported["analytics"] == {"AnalyticInputs", "MetricEstimate"}
+    assert not [module for module in imported if module.split(".")[0] == "scipy"]
 
 
 # ------------------------------------------------------------- degenerate
@@ -252,7 +280,32 @@ def test_popular_small_files_served_more_often():
 
 
 def qualifier_means(inputs, z, b, radius):
-    return _qualifier_means(*_campbell_terms(inputs, z, b), inputs.radio.pathloss_exponent, radius)
+    """(M_in, M_out) at one radius per row, exactly: each node's share times
+    scipy's regularized lower and upper incomplete gamma functions. Each has
+    its own function because for tiny files M_in is a tiny part of a huge
+    whole."""
+    log_k, _, share = _campbell_terms(inputs, z, b)
+    alpha = inputs.radio.pathloss_exponent
+    with np.errstate(over="ignore"):
+        y = np.exp(log_k + alpha * np.log(np.asarray(radius, dtype=float))[:, None])
+    q = 2.0 / alpha
+    return (share * special.gammainc(q, y)).sum(axis=1), (share * special.gammaincc(q, y)).sum(axis=1)
+
+
+def qualifier_bounds(inputs, z, b, radius):
+    return _qualifier_bounds(*_campbell_terms(inputs, z, b), inputs.radio.pathloss_exponent, np.log(radius))
+
+
+def exact_radii(inputs, z, b, half_width):
+    """_radii's bisection with the exact truncation bound in place of its
+    elementary one: same bracket, same steps, so the same grid of radii."""
+    cap = np.full(len(z), half_width)
+    lo, hi = np.log(cap / 1024.0), np.log(cap)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        inside = truncation_bound(*qualifier_means(inputs, z, b, np.exp(mid))) <= TRUNCATION_BOUND
+        lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
+    return np.exp(hi)
 
 
 def truncation_bound(m_in, m_out):
@@ -289,22 +342,78 @@ def _outside_mean_oracle(inputs, z, b, radius):
 @pytest.mark.parametrize("lifespan", [FixedLifespan, ExponentialLifespan])
 @pytest.mark.parametrize("z,tau,b", [(1e7, 10.0, 1.0), (1e9, 1000.0, 0.3), (3e8, 100.0, 0.6)])
 def test_outside_mean_against_quadrature_oracle(lifespan, z, tau, b):
+    # the quadrature oracle checks the exact M_out, and lies at or below the
+    # elementary bound that the simulator's radius rests on
     inputs = small_inputs(tau_mean=tau, lifespan=lifespan)
     radius, _ = _radii(inputs, np.array([z]), np.array([b]), 2000.0)
     for r in (radius[0], radius[0] / 2.0):
+        oracle = _outside_mean_oracle(inputs, z, b, r)
         _, m_out = qualifier_means(inputs, np.array([z]), np.array([b]), np.array([r]))
-        assert m_out[0] == pytest.approx(_outside_mean_oracle(inputs, z, b, r), rel=1e-6), r
+        assert m_out[0] == pytest.approx(oracle, rel=1e-6), r
+        _, m_out_bound = qualifier_bounds(inputs, np.array([z]), np.array([b]), np.array([r]))
+        assert oracle <= m_out_bound[0] * (1.0 + 1e-9), r
 
 
-def test_radius_is_smallest_meeting_the_bound():
+def check_radius(inputs, z, b, half_width):
+    """_radii against the exact bisection on the same bracket, row by row:
+    the exact truncation bound holds at R, R is no smaller than the exact
+    radius and at most 1.25 times it, and a radius 2e-4 short of R fails
+    the elementary bound (so _radii caps there with a finite bound)."""
+    radius, worst = _radii(inputs, z, b, half_width)
+    assert worst == 0.0 and np.all(np.isfinite(radius))
+    exact = exact_radii(inputs, z, b, half_width)
+    assert np.all(truncation_bound(*qualifier_means(inputs, z, b, radius)) <= TRUNCATION_BOUND)
+    assert np.all(radius >= exact) and np.all(radius <= 1.25 * exact)
+    for row in np.flatnonzero(radius * (1.0 - 2e-4) > half_width / 1024.0):
+        _, shy = _radii(inputs, z[row : row + 1], b[row : row + 1], radius[row] * (1.0 - 2e-4))
+        assert TRUNCATION_BOUND < shy < math.inf, (z[row], b[row])
+    return radius
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radius_meets_the_exact_bound_and_is_close_to_the_exact_radius():
     inputs = small_inputs(tau_mean=100.0)
     z, b = np.array([1e7, 3e8, 1e9]), np.array([1.0, 0.5, 0.2])
-    radius, worst = _radii(inputs, z, b, 2000.0)
-    assert worst == 0.0 and np.all(radius < 2000.0)
-    beta = truncation_bound(*qualifier_means(inputs, z, b, radius))
-    assert np.all(beta <= 1e-9)
-    shy = truncation_bound(*qualifier_means(inputs, z, b, radius * (1.0 - 2e-4)))
-    assert np.all(shy > 1e-9)
+    assert np.all(check_radius(inputs, z, b, 2000.0) < 2000.0)
+
+
+def _extreme_rows():
+    """A fixed list of radius inputs at the edges of the model: 1e-30-bit to
+    1e12-bit files, lifespans too short to deliver anything (k_T = inf),
+    nodes where k_T R^alpha overflows past e^709, alpha from just above 2
+    to 6 and densities from 1e-5 to 1e-1, under both lifespan laws."""
+    for alpha in (2.05, 3.0, 4.0, 6.0):
+        for density in (1e-5, 1e-3, 1e-1):
+            for law, taus in ((FixedLifespan, (1e-3, 100.0)), (ExponentialLifespan, (10.0, 1000.0))):
+                for tau in taus:
+                    inputs = small_inputs(density=density, tau_mean=tau, lifespan=law)
+                    radio = replace(inputs.radio, pathloss_exponent=alpha)
+                    yield replace(inputs, radio=radio)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radius_contract_holds_on_extreme_inputs():
+    # 1e-30 bits (a Weibull(276, 0.1) size law draws such files) makes M_in
+    # a tiny part of a huge whole; 2e10 and 3.16e10 bits put lifespan nodes
+    # of many rows just short of k_T = inf, so that k_T R^alpha overflows at
+    # the top of their bracket
+    z = np.array([1e-30, 1.0, 1e4, 1e9, 2e10, 3.16e10, 1e12])
+    b = np.array([0.5, 1.0, 0.3, 0.05, 0.5, 0.5, 1.0])
+    overflowed = undeliverable = 0
+    for inputs in _extreme_rows():
+        # quadruple from 1 mm until the exact bound holds: the exact radius is
+        # then in (hw/4, hw], and the widest bracket that holds it is 256 hw
+        hw = np.full(z.size, 1e-3)
+        while np.any(over := truncation_bound(*qualifier_means(inputs, z, b, hw)) > TRUNCATION_BOUND):
+            hw = np.where(over, 4.0 * hw, hw)
+        for row in range(z.size):
+            check_radius(inputs, z[row : row + 1], b[row : row + 1], 256.0 * hw[row])
+        log_k, _, share = _campbell_terms(inputs, z, b)
+        alpha = inputs.radio.pathloss_exponent
+        overflowed += np.any((share > 0) & (log_k + alpha * np.log(256.0 * hw)[:, None] > 709.8))
+        undeliverable += np.any(share == 0)
+    # the list reaches both edges that the bound has to survive
+    assert overflowed >= 10 and undeliverable >= 10
 
 
 def test_window_truncation_contributes_nothing_beyond_half_width():
@@ -390,9 +499,12 @@ def test_narrow_window_warns():
     b, z = inputs.policy.b[0], inputs.catalogue.sizes[0]
     oracle_out = _outside_mean_oracle(inputs, z, b, 40.0)
     oracle_in = _outside_mean_oracle(inputs, z, b, 1e-9) - oracle_out
+    # the warning reports the elementary bound that capped the radius, which
+    # lies above the exact truncation bias of the quadrature oracle
     bound = float(messages[0].split("bound ")[1].split(" ")[0])
-    assert bound == pytest.approx(float(truncation_bound(oracle_in, oracle_out)), rel=1e-2)
-    assert bound > 1e-9
+    elementary = float(truncation_bound(*qualifier_bounds(inputs, np.array([z]), np.array([b]), np.array([40.0])))[0])
+    assert bound == pytest.approx(elementary, rel=1e-2)
+    assert 1e-9 < float(truncation_bound(oracle_in, oracle_out)) <= elementary
 
 
 def test_preset_window_does_not_warn():
