@@ -55,7 +55,7 @@ from .experiments import (
 from .geometry import Window, sample_disc
 from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
 from .placement import PlacementPolicy, popularity_weighted_marginals
-from .simulator import SimulationConfig, estimate_total_success
+from .simulator import SimulationConfig, estimate_sweep, estimate_total_success
 
 __version__ = "0.1.0"
 
@@ -88,6 +88,7 @@ __all__ = [
     "build_preset",
     "coverage_radius_scale",
     "emit_results",
+    "estimate_sweep",
     "estimate_total_success",
     "expected_success",
     "fading_moment",

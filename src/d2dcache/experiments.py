@@ -86,7 +86,7 @@ from .content import (
 from .geometry import Window
 from .mobility import ExponentialLifespan, FixedLifespan
 from .placement import popularity_weighted_marginals
-from .simulator import SimulationConfig, estimate_total_success
+from .simulator import SimulationConfig, estimate_sweep
 
 log = logging.getLogger(__name__)
 
@@ -191,7 +191,7 @@ class ExperimentPreset:
 
 @dataclass(slots=True)
 class ResultRow:
-    """One (sweep point, variant) result; its fields are CSV_COLUMNS.
+    """One (sweep point, variant) result; its fields and stderr are CSV_COLUMNS.
 
     n_iter is the number of simulated requests behind simulated.
     """
@@ -201,7 +201,6 @@ class ResultRow:
     variant: str
     analytic: float
     simulated: float
-    stderr: float
     n_iter: int
     seed: int
 
@@ -209,6 +208,11 @@ class ResultRow:
         for value in (self.analytic, self.simulated):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"probability out of range: {value}")
+
+    @property
+    def stderr(self) -> float:
+        """Binomial standard error of simulated, sqrt(p (1 - p) / n_iter), as the simulator reports it."""
+        return math.sqrt(self.simulated * (1.0 - self.simulated) / self.n_iter)
 
 
 def _builtin_presets() -> dict:
@@ -437,11 +441,13 @@ def run_preset(preset: ExperimentPreset) -> list:
     The window, unless the preset sets one, is the widest
     required_half_width over the variants' catalogues before ordering, at
     the longest lifespan any point runs; it only caps the simulator's
-    computed radii.
+    computed radii. Every point's closed form is evaluated first; one
+    estimate_sweep call then simulates all the points, so they share the
+    simulator's radius searches.
 
-    Logs a warning for each row whose analytic value lies outside the
-    Wilson score interval at 4 standard errors around the simulated
-    frequency of its n_iter requests.
+    Logs a warning for each row, in row order, whose analytic value lies
+    outside the Wilson score interval at 4 standard errors around the
+    simulated frequency of its n_iter requests.
     """
     radio = _radio(preset)
     popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
@@ -471,7 +477,7 @@ def run_preset(preset: ExperimentPreset) -> list:
             rules.append(None if law is None else size_rule(inputs_at(preset.density, longest, base), law, order))
     catalogues = [replace(base, sizes=order_sizes(base.sizes, order)) for _, base, order, _ in variants]
 
-    rows = []
+    evaluated, configs = [], []
     for s_idx, p_idx, sweep_name, value, density, tau in points:
         for v_idx, ((variant, _, order, law), catalogue, rule) in enumerate(zip(variants, catalogues, rules)):
             with _at_point(sweep_name, value, variant):
@@ -483,29 +489,35 @@ def run_preset(preset: ExperimentPreset) -> list:
                 # correlation variants share one stream per sweep point, so
                 # their curves are coupled through a common request sequence
                 key = (s_idx, p_idx) if preset.kind == "correlation" else (s_idx, p_idx, v_idx)
-                config = SimulationConfig(
-                    inputs=inputs,
-                    window=Window(hw),
-                    iterations=preset.iterations,
-                    master_seed=(preset.seed, 3, *key),
-                    parallelism=preset.parallelism,
-                    size_law=law,
-                    reorder=order,
+                configs.append(
+                    SimulationConfig(
+                        inputs=inputs,
+                        window=Window(hw),
+                        iterations=preset.iterations,
+                        master_seed=(preset.seed, 3, *key),
+                        parallelism=preset.parallelism,
+                        size_law=law,
+                        reorder=order,
+                    )
                 )
-                sim = estimate_total_success(config)
-            rows.append(
-                ResultRow(
-                    sweep_name=sweep_name,
-                    sweep_value=float(value),
-                    variant=variant,
-                    analytic=analytic.value,
-                    simulated=sim.value,
-                    stderr=sim.standard_error,
-                    n_iter=sim.sample_count,
-                    seed=preset.seed,
-                )
+            evaluated.append((sweep_name, value, variant, analytic))
+    with _annotated(f"simulating preset {preset.name!r}"):
+        estimates = estimate_sweep(configs)
+
+    rows = []
+    for (sweep_name, value, variant, analytic), sim in zip(evaluated, estimates):
+        rows.append(
+            ResultRow(
+                sweep_name=sweep_name,
+                sweep_value=float(value),
+                variant=variant,
+                analytic=analytic.value,
+                simulated=sim.value,
+                n_iter=sim.sample_count,
+                seed=preset.seed,
             )
-            _check_agreement(rows[-1])
+        )
+        _check_agreement(rows[-1])
     return rows
 
 

@@ -28,10 +28,18 @@ scipy and no closed form go into R: the Monte Carlo reads nothing it checks.
 Reproducibility contract: requests run in blocks of BLOCK_SIZE. Block k
 draws only from the stream SeedSequence(master_seed, spawn_key=(k,)), in
 this order: the requested ranks, the requested sizes (none for a fixed
-catalogue), the transmitter counts,
-their distances, their fading, their lifespans. Blocks are concatenated
-in index order, so estimates are bit-identical for any parallelism
-width and across process boundaries.
+catalogue), the transmitter counts, their distances, their fading, their
+lifespans. Each configuration runs in two phases. Phase 1 opens every
+block's stream and draws its ranks and sizes. The radii follow: under a
+size law, one search over the cached requests of all the configuration's
+blocks; for a fixed catalogue, R_j depends on the configuration alone,
+and one search serves the cached objects of every fixed-catalogue
+configuration of a sweep that shares its radio, fading law and lifespan
+law. Phase 2 continues each block's stream with the field, its marks and
+the link test. Every radius depends on its own row alone, and blocks are
+concatenated in index order, so estimates are bit-identical for any
+parallelism width, across process boundaries and whatever else shares
+the sweep.
 """
 
 from __future__ import annotations
@@ -106,28 +114,33 @@ class SimulationConfig:
             raise ValueError(f"master_seed must be a nonnegative integer or a tuple of them, got {self.master_seed!r}")
 
 
-def _campbell_terms(inputs: AnalyticInputs, z, b):
-    """Per request (rows) and lifespan node (columns): log k_T, then
+def _campbell_terms(inputs: AnalyticInputs, z, b, density, tau):
+    """Per row and lifespan node (columns): log k_T, then
     log(share / Gamma(2/alpha)) and share, the node's part of the expected
     qualifiers in the plane, lambda_t b w (2 pi/alpha) Gamma(2/alpha) k_T^(-2/alpha).
 
-    z and b are per-request sizes (bits) and cache marginals, and
-    inputs.fading is exponential. E_T is one evaluation under a fixed
-    lifespan and the module's rule in ln T under an exponential one.
+    A row is a request or a cached object: z, b, density and tau are its
+    size (bits), cache marginal, transmitter density and mean lifespan,
+    each an array with one entry per row or one value for all. inputs
+    supplies the radio, the fading, which is exponential, and the
+    lifespan law. E_T is one evaluation under a fixed lifespan and the
+    module's rule in ln T under an exponential one.
     """
     radio, law = inputs.radio, inputs.lifespan
+    density, tau = (v if np.isscalar(v) else np.reshape(v, (-1, 1)) for v in (density, tau))
     if isinstance(law, FixedLifespan):
-        t, w = np.array([law.mean]), np.array([1.0])
+        t, w = tau, np.array([1.0])
     elif isinstance(law, ExponentialLifespan):
         s, w = _EXPONENTIAL_RULE
-        t = law.mean * np.exp(s)
+        t = tau * np.exp(s)
     else:
         raise TypeError(f"unknown lifespan law {law!r}")
     q = 2.0 / radio.pathloss_exponent
     with np.errstate(over="ignore", divide="ignore"):
         # k_T = inf (a lifespan far too short to deliver z) has share 0; log k_T = 0 keeps it 0
-        k = inputs.fading.rate * radio.noise / radio.power * np.expm1(np.outer(z, math.log(2) / (radio.bandwidth * t)))
-        share = (inputs.density * math.pi * q * math.gamma(q)) * np.outer(b, w) * k**-q
+        x = np.reshape(z, (-1, 1)) * (math.log(2) / (radio.bandwidth * t))
+        k = inputs.fading.rate * radio.noise / radio.power * np.expm1(x)
+        share = (density * math.pi * q * math.gamma(q)) * np.outer(b, w) * k**-q
         return np.log(np.where(share > 0, k, 1.0)), np.log(share / math.gamma(q)), share
 
 
@@ -144,13 +157,14 @@ def _qualifier_bounds(log_k, log_share, share, alpha: float, log_r):
     return np.maximum(share - tail, head).sum(axis=1), np.minimum(share - head, tail).sum(axis=1)
 
 
-def _radii(inputs: AnalyticInputs, z, b, half_width: float):
-    """Simulation radius of each request, and the largest truncation bound
-    among those capped at half_width (0 when none is)."""
-    cap = np.full(len(z), half_width)
+def _radii(inputs: AnalyticInputs, z, b, density, tau, half_width):
+    """Simulation radius of each row (see _campbell_terms; half_width caps
+    it and, like density and tau, is one value or one per row), and the
+    truncation bound of each row capped at its half_width (0 elsewhere)."""
+    cap = np.full(len(z), half_width, dtype=float)
     if not isinstance(inputs.fading, ExponentialFading) or cap.size == 0:
-        return cap, 0.0
-    terms = _campbell_terms(inputs, z, b)
+        return cap, np.zeros(cap.size)
+    terms = _campbell_terms(inputs, z, b, density, tau)
 
     def bound(log_r):
         m_in, m_out = _qualifier_bounds(*terms, inputs.radio.pathloss_exponent, log_r)
@@ -164,7 +178,37 @@ def _radii(inputs: AnalyticInputs, z, b, half_width: float):
             inside = bound(mid) <= TRUNCATION_BOUND
             lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
     capped = at_cap > TRUNCATION_BOUND
-    return np.where(capped, cap, np.exp(hi)), float(at_cap[capped].max(initial=0.0))
+    return np.where(capped, cap, np.exp(hi)), np.where(capped, at_cap, 0.0)
+
+
+def _catalogue_radii(configs) -> dict:
+    """Per fixed-catalogue config, by index: each object's radius (0 when
+    uncached) and the largest truncation bound of a capped one. Configs
+    that share a radio, a fading law and a lifespan law take one search
+    over all their cached objects."""
+    groups = {}
+    for i, config in enumerate(configs):
+        x = config.inputs
+        if config.size_law is None:
+            groups.setdefault((x.radio, x.fading, type(x.lifespan)), []).append(i)
+    found = {}
+    for members in groups.values():
+        objects, rows = [], []
+        for i in members:
+            x = configs[i].inputs
+            objects.append(o := np.flatnonzero(x.policy.b > 0))
+            rows.append(
+                np.broadcast_arrays(
+                    x.catalogue.sizes[o], x.policy.b[o], x.density, x.lifespan.mean, configs[i].window.half_width
+                )
+            )
+        radius, capped = _radii(configs[members[0]].inputs, *np.concatenate(rows, axis=1))
+        splits = np.cumsum([o.size for o in objects])[:-1]
+        for i, o, r, c in zip(members, objects, np.split(radius, splits), np.split(capped, splits)):
+            radii = np.zeros(configs[i].inputs.catalogue.F)
+            radii[o] = r
+            found[i] = radii, float(c.max(initial=0.0))
+    return found
 
 
 def _request_sizes(config: SimulationConfig, rng: np.random.Generator, j: np.ndarray) -> np.ndarray:
@@ -178,59 +222,78 @@ def _request_sizes(config: SimulationConfig, rng: np.random.Generator, j: np.nda
     return np.asarray(config.size_law.inverse_cdf(u), dtype=float)
 
 
-def _run_block(config: SimulationConfig, radii, k: int):
-    """Success of each request in block k, and the largest truncation bound
-    of a capped disc drawn for it (radii, per object, is None under a size
-    law: each request then gets its own)."""
-    inputs = config.inputs
+def _draw_requests(config: SimulationConfig, k: int):
+    """Phase 1 of block k: its generator, after it has drawn the block's
+    requested ranks j, then their sizes z."""
     n = min(BLOCK_SIZE, config.iterations - k * BLOCK_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(k,)))
-    cum = np.cumsum(inputs.catalogue.popularity.a)
-    j = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), inputs.catalogue.F - 1)
-    z = _request_sizes(config, rng, j)
-    b = inputs.policy.b[j]
-    worst = 0.0
-    if radii is None:
-        cached = b > 0
-        r_max = np.zeros(n)
-        r_max[cached], worst = _radii(inputs, z[cached], b[cached], config.window.half_width)
-    else:
-        r_max = radii[j]
-    owner, r = sample_disc(inputs.density * b, r_max, rng)
+    cum = np.cumsum(config.inputs.catalogue.popularity.a)
+    j = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), config.inputs.catalogue.F - 1)
+    return rng, j, _request_sizes(config, rng, j)
+
+
+def _sample_block(inputs: AnalyticInputs, block):
+    """Phase 2 of a block (rng, j, z, r_max): whether each request is served
+    by the field drawn on its disc of radius r_max."""
+    rng, j, z, r_max = block
+    owner, r = sample_disc(inputs.density * inputs.policy.b[j], r_max, rng)
     h = sample_fading(inputs.fading, rng, size=owner.size)
     tau = sample_lifespan(inputs.lifespan, rng, size=owner.size)
     delivered = link_bits(inputs.radio, h, r, tau) >= z[owner]
-    return np.bincount(owner, weights=delivered, minlength=n) > 0, worst
+    return np.bincount(owner, weights=delivered, minlength=j.size) > 0
+
+
+def _estimate(configs: list) -> list:
+    """The estimate of each config, warning (at the public caller's line)
+    once for each config whose window caps a disc."""
+    catalogue = _catalogue_radii(configs)
+    estimates = []
+    for i, config in enumerate(configs):
+        inputs = config.inputs
+        blocks = [_draw_requests(config, k) for k in range(-(-config.iterations // BLOCK_SIZE))]
+        j = np.concatenate([block[1] for block in blocks])
+        if config.size_law is None:
+            radii, worst = catalogue[i]
+            r_max = radii[j]
+        else:
+            z = np.concatenate([block[2] for block in blocks])
+            b = inputs.policy.b[j]
+            cached = b > 0
+            r_max = np.zeros(j.size)
+            r_max[cached], capped = _radii(
+                inputs, z[cached], b[cached], inputs.density, inputs.lifespan.mean, config.window.half_width
+            )
+            worst = float(capped.max(initial=0.0))
+        tasks = [block + (r_max[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE],) for k, block in enumerate(blocks)]
+        run = functools.partial(_sample_block, inputs)
+        workers = min(config.parallelism, len(tasks))
+        if workers == 1:
+            parts = [run(task) for task in tasks]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(run, tasks, chunksize=-(-len(tasks) // workers)))
+        if worst > TRUNCATION_BOUND:
+            warnings.warn(
+                f"window half-width {config.window.half_width:g} m caps the simulation disc below its computed radius: "
+                f"truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
+                UserWarning,
+                stacklevel=3,
+            )
+        success = np.concatenate(parts)
+        p = float(success.mean())
+        stderr = math.sqrt(p * (1.0 - p) / success.size)
+        estimates.append(MetricEstimate(value=p, standard_error=stderr, sample_count=int(success.size)))
+    return estimates
+
+
+def estimate_sweep(configs) -> list[MetricEstimate]:
+    """estimate_total_success of each config, in order and bit for bit, with
+    one radius search per config under a size law and one for the fixed
+    catalogues of all configs that share a radio, fading law and lifespan law."""
+    return _estimate(list(configs))
 
 
 def estimate_total_success(config: SimulationConfig) -> MetricEstimate:
     """Estimate the popularity-averaged success probability."""
-    inputs = config.inputs
-    half_width = config.window.half_width
-    radii, worst = None, 0.0
-    if config.size_law is None:
-        objects = np.flatnonzero(inputs.policy.b > 0)
-        radii = np.zeros(inputs.catalogue.F)
-        radii[objects], worst = _radii(inputs, inputs.catalogue.sizes[objects], inputs.policy.b[objects], half_width)
-    run = functools.partial(_run_block, config, radii)
-    blocks = range(-(-config.iterations // BLOCK_SIZE))
-    workers = min(config.parallelism, len(blocks))
-    if workers == 1:
-        parts = [run(k) for k in blocks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks, chunksize=-(-len(blocks) // workers)))
-    worst = max([worst] + [w for _, w in parts])
-    if worst > TRUNCATION_BOUND:
-        warnings.warn(
-            f"window half-width {half_width:g} m caps the simulation disc below its computed radius: "
-            f"truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
-            UserWarning,
-            stacklevel=2,
-        )
-    success = np.concatenate([s for s, _ in parts])
-    p = float(success.mean())
-    stderr = math.sqrt(p * (1.0 - p) / success.size)
-    return MetricEstimate(value=p, standard_error=stderr, sample_count=int(success.size))
-
+    return _estimate([config])[0]

@@ -184,7 +184,6 @@ def rows_fixture():
             variant="audio",
             analytic=0.38591324159218864,
             simulated=0.39,
-            stderr=0.010905,
             n_iter=2000,
             seed=0,
         )
@@ -201,6 +200,8 @@ def test_emit_csv_round_trip(tmp_path):
     assert header == list(experiments.CSV_COLUMNS)
     assert row[0] == "tau_mean" and row[2] == "audio"
     assert float(row[3]) == 0.38591324159218864  # repr() floats survive exactly
+    # stderr is the simulator's binomial standard error of simulated
+    assert float(row[5]) == math.sqrt(0.39 * 0.61 / 2000)
     assert int(row[6]) == 2000 and int(row[7]) == 0
 
 
@@ -261,14 +262,15 @@ def test_run_preset_is_deterministic():
     assert [(r.simulated, r.analytic) for r in first] == [(r.simulated, r.analytic) for r in second]
 
 
+def _stub_simulator(monkeypatch, estimate):
+    """Replace run_preset's one simulator call with estimate applied to each config."""
+    monkeypatch.setattr(experiments, "estimate_sweep", lambda configs: [estimate(config) for config in configs])
+
+
 def test_soft_gate_warns_on_large_deviation(monkeypatch, caplog):
     # force the simulated value far from the closed form: the run must
     # complete and log a warning rather than fail
-    monkeypatch.setattr(
-        experiments,
-        "estimate_total_success",
-        lambda config: MetricEstimate(value=0.9, standard_error=0.001, sample_count=100),
-    )
+    _stub_simulator(monkeypatch, lambda config: MetricEstimate(value=0.9, standard_error=0.001, sample_count=100))
     with caplog.at_level(logging.WARNING, logger="d2dcache.experiments"):
         rows = run_preset(tiny_validate_preset())
     assert len(rows) == 1
@@ -278,9 +280,8 @@ def test_soft_gate_warns_on_large_deviation(monkeypatch, caplog):
 def _flagged(monkeypatch, caplog, analytic, simulated, iterations):
     """Whether run_preset warns about one validate row with these values."""
     monkeypatch.setattr(experiments, "total_success", lambda inputs: MetricEstimate(value=analytic))
-    monkeypatch.setattr(
-        experiments,
-        "estimate_total_success",
+    _stub_simulator(
+        monkeypatch,
         lambda config: MetricEstimate(
             value=simulated,
             standard_error=math.sqrt(simulated * (1.0 - simulated) / config.iterations),
@@ -308,9 +309,8 @@ def _comparison_flagged(monkeypatch, caplog, analytic):
     """Whether run_preset warns about one comparison row whose simulated
     frequency is 100/2000 and whose expected success is analytic."""
     monkeypatch.setattr(experiments, "evaluate_expected_success", lambda *a, **kw: MetricEstimate(value=analytic))
-    monkeypatch.setattr(
-        experiments,
-        "estimate_total_success",
+    _stub_simulator(
+        monkeypatch,
         lambda config: MetricEstimate(value=0.05, standard_error=math.sqrt(0.05 * 0.95 / 2000), sample_count=2000),
     )
     preset = replace(
@@ -351,10 +351,8 @@ def _comparison_inputs(preset, law, density, tau):
 def test_comparison_analytic_column_matches_per_point_expected_success(monkeypatch, name):
     # one size rule per variant must give exactly what expected_success
     # gives at every point, and the column must not depend on the seed
-    monkeypatch.setattr(
-        experiments,
-        "estimate_total_success",
-        lambda config: MetricEstimate(value=0.5, standard_error=0.1, sample_count=config.iterations),
+    _stub_simulator(
+        monkeypatch, lambda config: MetricEstimate(value=0.5, standard_error=0.1, sample_count=config.iterations)
     )
     columns = []
     for seed in (3, 4):
@@ -396,7 +394,7 @@ def _simulator_calls(monkeypatch, preset):
         calls.append((config.master_seed, config.window.half_width, config.reorder, config.size_law))
         return MetricEstimate(value=0.5, standard_error=0.1, sample_count=config.iterations)
 
-    monkeypatch.setattr(experiments, "estimate_total_success", record)
+    _stub_simulator(monkeypatch, record)
     run_preset(preset)
     return calls
 

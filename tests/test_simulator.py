@@ -23,6 +23,7 @@ from d2dcache import (
     WeibullSize,
     Window,
     build_preset,
+    estimate_sweep,
     estimate_total_success,
     link_bits,
     popularity_weighted_marginals,
@@ -42,10 +43,12 @@ from d2dcache.simulator import (
     BLOCK_SIZE,
     TRUNCATION_BOUND,
     _campbell_terms,
+    _catalogue_radii,
+    _draw_requests,
     _qualifier_bounds,
     _radii,
     _request_sizes,
-    _run_block,
+    _sample_block,
 )
 
 from conftest import single_object
@@ -142,27 +145,24 @@ def test_config_validation():
 # ---------------------------------------------------------- reproducibility
 
 
-def _block_radii(config):
-    cached = np.flatnonzero(config.inputs.policy.b > 0)
-    radii = np.zeros(config.inputs.catalogue.F)
-    radii[cached], _ = _radii(
-        config.inputs, config.inputs.catalogue.sizes[cached], config.inputs.policy.b[cached], config.window.half_width
-    )
-    return radii
+def _run_block(config, radii, k):
+    """Outcomes of block k, both phases, with per-object radii."""
+    rng, j, z = _draw_requests(config, k)
+    return _sample_block(config.inputs, (rng, j, z, radii[j]))
 
 
 def test_same_seed_reproduces_every_outcome():
     config = make_config(small_inputs(), iterations=3 * BLOCK_SIZE, seed=42)
-    radii = _block_radii(config)
-    first = [_run_block(config, radii, k)[0] for k in range(3)]
-    second = [_run_block(config, radii, k)[0] for k in range(3)]
+    per_object, _ = _catalogue_radii([config])[0]
+    first = [_run_block(config, per_object, k) for k in range(3)]
+    second = [_run_block(config, per_object, k) for k in range(3)]
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
-    shifted = [_run_block(replace(config, master_seed=43), radii, k)[0] for k in range(3)]
+    shifted = [_run_block(replace(config, master_seed=43), per_object, k) for k in range(3)]
     assert any(not np.array_equal(a, b) for a, b in zip(first, shifted))
     # a full block's outcomes do not depend on how many requests follow it
     short = replace(config, iterations=BLOCK_SIZE + 10)
-    assert np.array_equal(_run_block(short, radii, 0)[0], first[0])
-    assert _run_block(short, radii, 1)[0].size == 10
+    assert np.array_equal(_run_block(short, per_object, 0), first[0])
+    assert _run_block(short, per_object, 1).size == 10
 
 
 def test_parallelism_does_not_change_the_estimate():
@@ -181,6 +181,58 @@ def test_parallelism_does_not_change_the_estimate():
         for workers in (1, 3)
     ]
     assert ordered[0] == ordered[1]
+
+
+def _mixed_sweep(workers):
+    """Configs of 600 and 700 requests (three blocks) with one radio and
+    fading law: fixed catalogues under both lifespan laws at differing
+    densities and mean lifespans, size laws in two orders, and two
+    configs whose window caps their discs (object 0's 57 m radius at
+    40 m, and the uniform law's 24-63 m radii at 20 m)."""
+    uniform = UniformSize(0.05e9, 2e9)
+    exponential = small_inputs(tau_mean=100.0)
+    fixed = small_inputs(density=1e-3, tau_mean=100.0, lifespan=FixedLifespan)
+    specs = [
+        (exponential, {}),
+        (small_inputs(density=1e-3, tau_mean=50.0), {}),
+        (fixed, {}),
+        (small_inputs(density=5e-3, tau_mean=20.0, lifespan=FixedLifespan), {}),
+        (exponential, {"size_law": WeibullSize(276.0, 0.1)}),
+        (fixed, {"size_law": uniform, "reorder": "decreasing"}),
+        (single_object(small_inputs(tau_mean=100.0, lifespan=FixedLifespan), 0), {"half_width": 40.0}),
+        (exponential, {"size_law": uniform, "half_width": 20.0}),
+    ]
+    return [
+        make_config(inputs, iterations=600 + 100 * (i % 2), seed=(17, i), parallelism=workers, **kw)
+        for i, (inputs, kw) in enumerate(specs)
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_equals_each_estimate_bit_for_bit(monkeypatch, workers):
+    configs = _mixed_sweep(workers)
+    searches = []
+    monkeypatch.setattr(simulator, "_radii", lambda *args: searches.append(args) or _radii(*args))
+    with warnings.catch_warnings(record=True) as swept_warnings:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        swept = estimate_sweep(configs)
+    # one search per size-law config and one per lifespan law for the rest
+    assert len(searches) == 3 + 2
+    alone, alone_warnings = [], []
+    for config in configs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone.append(estimate_total_success(config))
+        assert len(caught) <= 1
+        alone_warnings += caught
+    assert swept == alone
+    # each capped config warns once, in order, as it does alone, at the caller's line
+    messages = [str(w.message) for w in swept_warnings]
+    assert messages == [str(w.message) for w in alone_warnings]
+    assert [m.split(" m caps")[0] for m in messages] == ["window half-width 40", "window half-width 20"]
+    assert all(m.endswith("exceeds 1e-09") for m in messages)
+    assert all(w.category is UserWarning and (w.filename, w.lineno) == (__file__, line) for w in swept_warnings)
 
 
 @pytest.mark.parametrize(
@@ -279,12 +331,24 @@ def test_popular_small_files_served_more_often():
 # --------------------------------------------------------- simulation radius
 
 
+def campbell_terms(inputs, z, b):
+    """_campbell_terms at the inputs' own density and mean lifespan."""
+    return _campbell_terms(inputs, z, b, inputs.density, inputs.lifespan.mean)
+
+
+def radii(inputs, z, b, half_width):
+    """_radii at the inputs' own density and mean lifespan: each row's
+    radius and the largest truncation bound of a capped one."""
+    radius, capped = _radii(inputs, z, b, inputs.density, inputs.lifespan.mean, half_width)
+    return radius, float(capped.max(initial=0.0))
+
+
 def qualifier_means(inputs, z, b, radius):
     """(M_in, M_out) at one radius per row, exactly: each node's share times
     scipy's regularized lower and upper incomplete gamma functions. Each has
     its own function because for tiny files M_in is a tiny part of a huge
     whole."""
-    log_k, _, share = _campbell_terms(inputs, z, b)
+    log_k, _, share = campbell_terms(inputs, z, b)
     alpha = inputs.radio.pathloss_exponent
     with np.errstate(over="ignore"):
         y = np.exp(log_k + alpha * np.log(np.asarray(radius, dtype=float))[:, None])
@@ -293,7 +357,7 @@ def qualifier_means(inputs, z, b, radius):
 
 
 def qualifier_bounds(inputs, z, b, radius):
-    return _qualifier_bounds(*_campbell_terms(inputs, z, b), inputs.radio.pathloss_exponent, np.log(radius))
+    return _qualifier_bounds(*campbell_terms(inputs, z, b), inputs.radio.pathloss_exponent, np.log(radius))
 
 
 def exact_radii(inputs, z, b, half_width):
@@ -345,7 +409,7 @@ def test_outside_mean_against_quadrature_oracle(lifespan, z, tau, b):
     # the quadrature oracle checks the exact M_out, and lies at or below the
     # elementary bound that the simulator's radius rests on
     inputs = small_inputs(tau_mean=tau, lifespan=lifespan)
-    radius, _ = _radii(inputs, np.array([z]), np.array([b]), 2000.0)
+    radius, _ = radii(inputs, np.array([z]), np.array([b]), 2000.0)
     for r in (radius[0], radius[0] / 2.0):
         oracle = _outside_mean_oracle(inputs, z, b, r)
         _, m_out = qualifier_means(inputs, np.array([z]), np.array([b]), np.array([r]))
@@ -358,14 +422,18 @@ def check_radius(inputs, z, b, half_width):
     """_radii against the exact bisection on the same bracket, row by row:
     the exact truncation bound holds at R, R is no smaller than the exact
     radius and at most 1.25 times it, and a radius 2e-4 short of R fails
-    the elementary bound (so _radii caps there with a finite bound)."""
-    radius, worst = _radii(inputs, z, b, half_width)
+    the elementary bound (so _radii caps there with a finite bound). The
+    density, mean lifespan and cap given once per row, as a sweep's
+    catalogue search gives them, yield the same radii bit for bit."""
+    radius, worst = radii(inputs, z, b, half_width)
     assert worst == 0.0 and np.all(np.isfinite(radius))
+    per_row = (np.full(z.size, v) for v in (inputs.density, inputs.lifespan.mean, half_width))
+    assert np.array_equal(_radii(inputs, z, b, *per_row)[0], radius)
     exact = exact_radii(inputs, z, b, half_width)
     assert np.all(truncation_bound(*qualifier_means(inputs, z, b, radius)) <= TRUNCATION_BOUND)
     assert np.all(radius >= exact) and np.all(radius <= 1.25 * exact)
     for row in np.flatnonzero(radius * (1.0 - 2e-4) > half_width / 1024.0):
-        _, shy = _radii(inputs, z[row : row + 1], b[row : row + 1], radius[row] * (1.0 - 2e-4))
+        _, shy = radii(inputs, z[row : row + 1], b[row : row + 1], radius[row] * (1.0 - 2e-4))
         assert TRUNCATION_BOUND < shy < math.inf, (z[row], b[row])
     return radius
 
@@ -408,7 +476,7 @@ def test_radius_contract_holds_on_extreme_inputs():
             hw = np.where(over, 4.0 * hw, hw)
         for row in range(z.size):
             check_radius(inputs, z[row : row + 1], b[row : row + 1], 256.0 * hw[row])
-        log_k, _, share = _campbell_terms(inputs, z, b)
+        log_k, _, share = campbell_terms(inputs, z, b)
         alpha = inputs.radio.pathloss_exponent
         overflowed += np.any((share > 0) & (log_k + alpha * np.log(256.0 * hw)[:, None] > 709.8))
         undeliverable += np.any(share == 0)
@@ -423,7 +491,7 @@ def test_window_truncation_contributes_nothing_beyond_half_width():
         rng = np.random.default_rng(seed)
         b = inputs.policy.b[:6]
         z = inputs.catalogue.sizes[:6]
-        radius, _ = _radii(inputs, z, b, 5000.0)
+        radius, _ = radii(inputs, z, b, 5000.0)
         n = 20_000
         j = rng.integers(0, b.size, n)
         owner, r = sample_disc(inputs.density * b[j], 2.0 * radius[j], rng)
