@@ -49,7 +49,6 @@ from .experiments import (
     build_preset,
     emit_results,
     load_config,
-    required_half_width,
     run_preset,
 )
 from .geometry import Window, sample_disc
@@ -99,7 +98,6 @@ __all__ = [
     "mean_size",
     "order_sizes",
     "popularity_weighted_marginals",
-    "required_half_width",
     "run_preset",
     "sample_fading",
     "sample_disc",

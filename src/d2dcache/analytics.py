@@ -368,7 +368,6 @@ def coverage_radius_scale(inputs: AnalyticInputs) -> float:
     (P/N)^(1/alpha) * sqrt(E[H^(2/alpha)] * max I_T) over cached objects:
     the square root of the mean squared coverage radius entering the void
     probability, maximized over the objects that can actually be served.
-    Observation windows should be an order of magnitude wider than this.
     """
     alpha = inputs.radio.pathloss_exponent
     cached = inputs.policy.b > 0

@@ -21,6 +21,8 @@ Default experiment constants (all presets start from these):
     VIDEO_TAU_GRID            100..1000  mean-lifespan sweep, video (s)
     COMPARISON_LIFESPAN       1000.0     fixed lifespan of the density sweep
     DENSITY_GRID              1e-4..1e-2 density sweep (log-spaced)
+    WINDOW_HALF_WIDTH         3000.0     cap on every simulation radius, m
+                                         (window_half_width overrides it)
     ========================  =========  =====================================
 
 One sweep runner, run_preset, serves the three preset kinds; they differ
@@ -64,7 +66,6 @@ import numpy as np
 
 from .analytics import (
     AnalyticInputs,
-    coverage_radius_scale,
     evaluate_expected_success,
     size_rule,
     total_success,
@@ -106,6 +107,7 @@ VIDEO_TAU_GRID = tuple(np.linspace(100.0, 1000.0, 10).tolist())
 COMPARISON_LIFESPAN = 1000.0
 COMPARISON_CATALOGUE_SIZE = 200
 DENSITY_GRID = tuple(np.logspace(-4, -2, 7).tolist())
+WINDOW_HALF_WIDTH = 3000.0
 
 COMPARISON_SIZE_LAWS = {
     "uniform": UniformSize(0.05e9, 2e9),
@@ -143,7 +145,7 @@ class ExperimentPreset:
     iterations: int = ITERATIONS
     seed: int = 0
     parallelism: int = 1
-    window_half_width: float | None = None
+    window_half_width: float = WINDOW_HALF_WIDTH
     reorder: str = "independent"
     out_path: str | None = None
     out_format: str = "csv"
@@ -178,7 +180,7 @@ class ExperimentPreset:
             raise ConfigError("need catalogue_size >= 2 * cache_capacity")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
-        if self.window_half_width is not None and not 0 < self.window_half_width < math.inf:
+        if not 0 < self.window_half_width < math.inf:
             raise ConfigError("window_half_width must be finite and positive")
 
     @property
@@ -397,16 +399,6 @@ def _variants(preset: ExperimentPreset, popularity) -> list:
     return [(v, base, v if preset.kind == "correlation" else preset.reorder, None) for v in preset.variants]
 
 
-def required_half_width(inputs: AnalyticInputs, safety: float = 10.0, minimum: float = 500.0) -> float:
-    """A window half-width safely beyond the coverage radius scale.
-
-    Rounded up to the next 100 m so preset geometry stays stable under
-    small parameter perturbations.
-    """
-    scale = coverage_radius_scale(inputs)
-    return max(minimum, 100.0 * math.ceil(safety * scale / 100.0))
-
-
 def _wilson_interval(p_hat: float, n: int, z: float) -> tuple:
     """Wilson score interval of a binomial proportion; valid at p_hat 0 and 1."""
     z2n = z * z / n
@@ -438,10 +430,10 @@ def run_preset(preset: ExperimentPreset) -> list:
     """Run all sweep points and variants of a preset, in deterministic order.
 
     Each preset kind sets up its variants as the module docstring says.
-    The window, unless the preset sets one, is the widest
-    required_half_width over the variants' catalogues before ordering, at
-    the longest lifespan any point runs; it only caps the simulator's
-    computed radii. Every point's closed form is evaluated first; one
+    Every simulation disc takes the simulator's computed radius, capped at
+    the preset's window_half_width (WINDOW_HALF_WIDTH unless overridden);
+    the simulator warns, with the truncation bias bound, for each point
+    where the cap binds. Every point's closed form is evaluated first; one
     estimate_sweep call then simulates all the points, so they share the
     simulator's radius searches.
 
@@ -467,9 +459,6 @@ def run_preset(preset: ExperimentPreset) -> list:
         )
 
     longest = max(point[-1] for point in points)
-    hw = preset.window_half_width or max(
-        required_half_width(inputs_at(preset.density, longest, base)) for _, base, _, _ in variants
-    )
     # one size rule per comparison variant, shared by all its points
     rules = []
     for variant, base, order, law in variants:
@@ -492,7 +481,7 @@ def run_preset(preset: ExperimentPreset) -> list:
                 configs.append(
                     SimulationConfig(
                         inputs=inputs,
-                        window=Window(hw),
+                        window=Window(preset.window_half_width),
                         iterations=preset.iterations,
                         master_seed=(preset.seed, 3, *key),
                         parallelism=preset.parallelism,

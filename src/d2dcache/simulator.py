@@ -104,13 +104,13 @@ class SimulationConfig:
     reorder: str = "independent"
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
+        for name in ("iterations", "parallelism"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         check_ordering(self.reorder)
         seeds = self.master_seed if isinstance(self.master_seed, tuple) else (self.master_seed,)
-        if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in seeds):
             raise ValueError(f"master_seed must be a nonnegative integer or a tuple of them, got {self.master_seed!r}")
 
 

@@ -15,8 +15,6 @@ from d2dcache import (
     ConfigError,
     ContentCatalogue,
     ExponentialFading,
-    ExponentialLifespan,
-    ExponentialSize,
     FixedLifespan,
     MetricEstimate,
     PRESET_NAMES,
@@ -27,12 +25,10 @@ from d2dcache import (
     load_config,
     mean_size,
     popularity_weighted_marginals,
-    required_half_width,
     run_preset,
-    sample_sizes,
     zipf_popularity,
 )
-from d2dcache.experiments import _at_point
+from d2dcache.experiments import WINDOW_HALF_WIDTH, _at_point
 
 
 # ------------------------------------------------------------- presets
@@ -399,33 +395,13 @@ def _simulator_calls(monkeypatch, preset):
     return calls
 
 
-def _window(preset, lifespan, sizes):
-    """required_half_width of the preset's catalogue with these sizes in drawn order."""
-    popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
-    inputs = AnalyticInputs(
-        density=preset.density,
-        radio=experiments._radio(preset),
-        fading=ExponentialFading(1.0),
-        lifespan=lifespan,
-        policy=popularity_weighted_marginals(popularity, preset.cache_capacity),
-        catalogue=ContentCatalogue(popularity=popularity, sizes=sizes),
-    )
-    return required_half_width(inputs)
-
-
-def _catalogue_sizes(preset):
-    rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 1)))
-    return sample_sizes(ExponentialSize(1.0 / preset.size_mean_bits), preset.catalogue_size, rng)
-
-
 @pytest.mark.parametrize("name", ["validate_audio", "validate_video"])
 def test_validate_seed_keys_and_window(monkeypatch, name):
     grid = build_preset(name).sweeps[0][1]
     preset = build_preset(name, seed=4, iterations=1, tau_grid=(grid[0], grid[4], grid[-1]))
     calls = _simulator_calls(monkeypatch, preset)
     assert [c[0] for c in calls] == [(4, 3, 0, p, 0) for p in range(3)]
-    window = _window(preset, ExponentialLifespan(grid[-1]), _catalogue_sizes(preset))
-    assert all(c[1:] == (window, "independent", None) for c in calls)
+    assert all(c[1:] == (WINDOW_HALF_WIDTH, "independent", None) for c in calls)
 
 
 def test_correlation_variants_share_seed_keys(monkeypatch):
@@ -433,15 +409,11 @@ def test_correlation_variants_share_seed_keys(monkeypatch):
     calls = _simulator_calls(monkeypatch, preset)
     orders = ("increasing", "independent", "decreasing")
     assert [(c[0], c[2]) for c in calls] == [((1, 3, 0, p), v) for p in range(2) for v in orders]
-    # sized from the catalogue before ordering, whatever the variant
-    window = _window(preset, ExponentialLifespan(1000.0), _catalogue_sizes(preset))
-    assert all(c[1] == window and c[3] is None for c in calls)
+    assert all(c[1] == WINDOW_HALF_WIDTH and c[3] is None for c in calls)
 
 
 @pytest.mark.parametrize("name", ["expected_comparison", "ordered_comparison"])
 def test_comparison_seed_keys_and_window(monkeypatch, name):
-    # the longest lifespan is the density sweep's fixed 1000 s, not the
-    # tau sweep's 500 s
     preset = replace(
         build_preset(name, seed=2, iterations=1),
         sweeps=(("tau_mean", (100.0, 500.0)), ("density", (1e-4, 1e-2))),
@@ -451,20 +423,30 @@ def test_comparison_seed_keys_and_window(monkeypatch, name):
     assert [(c[0], c[3]) for c in calls] == [
         ((2, 3, s, p, v), law) for s in range(2) for p in range(2) for v, law in enumerate(laws)
     ]
-    window = max(
-        _window(preset, FixedLifespan(1000.0), np.full(preset.catalogue_size, mean_size(law))) for law in laws
-    )
-    assert all(c[1] == window and c[2] == preset.reorder for c in calls)
+    assert all(c[1] == WINDOW_HALF_WIDTH and c[2] == preset.reorder for c in calls)
 
 
-def test_correlation_preset_window_does_not_warn():
-    # every variant's computed simulation radius lies well inside the
-    # preset's window, so no disc is capped
+def test_window_half_width_overrides_the_default(monkeypatch, tmp_path):
+    preset = build_preset("validate_audio", iterations=1, tau_grid=(10.0, 20.0), window_half_width=800.0)
+    assert [c[1] for c in _simulator_calls(monkeypatch, preset)] == [800.0, 800.0]
+    path = tmp_path / "run.ini"
+    path.write_text("[validate_audio]\nwindow_half_width = 650\n")
+    assert load_config(path).window_half_width == 650.0
+    with pytest.raises(ConfigError, match="window_half_width"):
+        build_preset("validate_audio", window_half_width=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_default_window_does_not_warn(name, seed):
+    # every computed simulation radius lies inside the default window, so
+    # no disc is capped, whatever the size law's small-file tail
+    preset = build_preset(name, seed=seed, iterations=20)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = run_preset(build_preset("correlation_video", seed=1, iterations=20))
-    assert len(rows) == 30
-    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        rows = run_preset(preset)
+    assert len(rows) == sum(len(grid) for _, grid in preset.sweeps) * len(preset.variants)
+    assert not [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
 
 
 def test_at_point_annotates_errors():

@@ -23,11 +23,11 @@ from d2dcache import (
     WeibullSize,
     Window,
     build_preset,
+    coverage_radius_scale,
     estimate_sweep,
     estimate_total_success,
     link_bits,
     popularity_weighted_marginals,
-    required_half_width,
     sample_disc,
     sample_fading,
     sample_lifespan,
@@ -66,8 +66,14 @@ def small_inputs(density=2.5e-3, tau_mean=100.0, F=20, K=3, size_bits=1e7, lifes
     )
 
 
+def _half_width(inputs):
+    """The window each test was written against: ten coverage radius
+    scales, rounded up to the next 100 m, and at least 500 m."""
+    return max(500.0, 100.0 * math.ceil(10.0 * coverage_radius_scale(inputs) / 100.0))
+
+
 def make_config(inputs, iterations=400, seed=11, **kw):
-    hw = kw.pop("half_width", None) or required_half_width(inputs)
+    hw = kw.pop("half_width", None) or _half_width(inputs)
     return SimulationConfig(
         inputs=inputs, window=Window(hw), iterations=iterations, master_seed=seed, **kw
     )
@@ -138,6 +144,22 @@ def test_config_validation():
         make_config(inputs, iterations=0)
     with pytest.raises(ValueError):
         SimulationConfig(inputs=inputs, window=Window(500.0), iterations=10, parallelism=0)
+    # a non-integer or boolean count or seed names its field instead of
+    # failing later in the estimate; numpy integers are accepted
+    for field, value in [
+        ("iterations", 2.5),
+        ("iterations", True),
+        ("iterations", np.float64(10.0)),
+        ("parallelism", 1.5),
+        ("parallelism", False),
+        ("parallelism", "2"),
+        ("master_seed", True),
+        ("master_seed", (1, False)),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(inputs=inputs, window=Window(500.0), **{"iterations": 10, field: value})
+    config = SimulationConfig(inputs=inputs, window=Window(500.0), iterations=np.int64(10), parallelism=np.int32(1))
+    assert estimate_total_success(config).sample_count == 10
     with pytest.raises(ValueError):
         SimulationConfig(inputs=inputs, window=Window(500.0), iterations=10, reorder="shuffled")
 
@@ -582,16 +604,3 @@ def test_preset_window_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         estimate_total_success(make_config(inputs, iterations=5))
-
-
-# ------------------------------------------------------------- window sizing
-
-
-def test_required_half_width_contract():
-    inputs = small_inputs(tau_mean=100.0)
-    hw = required_half_width(inputs)
-    assert hw >= 500.0
-    assert hw == 100.0 * round(hw / 100.0)
-    assert required_half_width(inputs, safety=40.0) >= 2 * hw
-    tiny = small_inputs(density=1e-9, tau_mean=1e-6)
-    assert required_half_width(tiny) == 500.0
