@@ -41,14 +41,13 @@ the rule that shares only I_T with it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln, expit, log_expit, polygamma
 
 from .channel import FadingLaw, RadioParams, fading_moment
-from .content import ContentCatalogue, SizeLaw, order_sizes, order_statistic
+from .content import ContentCatalogue, SizeLaw, check_integer, order_sizes, order_statistic
 from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
@@ -350,8 +349,7 @@ def expected_success(
         raise ValueError("mc_samples and rng are given together or not at all")
     if mc_samples is None:
         return evaluate_expected_success(inputs, size_rule(inputs, size_law, order))
-    if not isinstance(mc_samples, numbers.Integral) or mc_samples < 1000:
-        raise ValueError(f"mc_samples must be an integer of at least 1000, got {mc_samples!r}")
+    check_integer("mc_samples", mc_samples, 1000)
     if order == "independent":
         sizes = np.asarray(size_law.inverse_cdf(rng.random(mc_samples)), dtype=float)[None, :]
     else:

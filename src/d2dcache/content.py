@@ -28,6 +28,8 @@ class PopularityLaw:
     a: np.ndarray
 
     def __post_init__(self):
+        if np.shape(self.a) != (self.F,):
+            raise ValueError(f"need one probability per object: F={self.F!r}, a has shape {np.shape(self.a)}")
         if not abs(float(np.sum(self.a)) - 1.0) <= 1e-12:
             raise ValueError("popularity vector must sum to 1")
         if not np.all(np.diff(self.a) <= 0):
@@ -35,9 +37,8 @@ class PopularityLaw:
 
 
 def zipf_popularity(F: int, gamma: float) -> PopularityLaw:
-    """Build the Zipf popularity vector for a catalogue of F objects."""
-    if F < 2:
-        raise ValueError("catalogue needs at least two objects")
+    """Build the Zipf popularity vector for a catalogue of F >= 2 objects."""
+    check_integer("F", F, 2)
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
     ranks = np.arange(1, F + 1, dtype=float)
@@ -162,6 +163,13 @@ class ContentCatalogue:
     @property
     def F(self) -> int:
         return self.popularity.F
+
+
+def check_integer(name: str, value, floor: int) -> None:
+    """Raise ValueError unless value is an integer of at least floor; numpy integers count, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
+        rule = {0: "a nonnegative integer", 1: "a positive integer"}.get(floor, f"an integer of at least {floor}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_ordering(mode: str) -> None:

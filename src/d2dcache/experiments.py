@@ -79,6 +79,7 @@ from .content import (
     ParetoSize,
     UniformSize,
     WeibullSize,
+    check_integer,
     mean_size,
     order_sizes,
     sample_sizes,
@@ -117,6 +118,7 @@ COMPARISON_SIZE_LAWS = {
     "weibull": WeibullSize(276.0, 0.1),
 }
 
+OUTPUT_FORMATS = ("csv", "json")
 CSV_COLUMNS = ("sweep_name", "sweep_value", "variant", "analytic", "simulated", "stderr", "n_iter", "seed")
 
 
@@ -153,6 +155,9 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.kind not in ("validate", "correlation", "comparison"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        known = {"comparison": tuple(COMPARISON_SIZE_LAWS), "correlation": ORDERING_MODES}.get(self.kind, self.variants)
+        if not set(self.variants) <= set(known):
+            raise ConfigError(f"{self.kind} variants must come from {known}, got {self.variants}")
         if not self.sweeps:
             raise ConfigError("preset needs at least one sweep")
         for sweep_name, grid in self.sweeps:
@@ -164,24 +169,25 @@ class ExperimentPreset:
                 raise ConfigError(f"sweep {sweep_name!r} values must be finite and positive")
         if not 2 < self.alpha < math.inf:
             raise ConfigError("alpha must be finite and exceed 2")
-        for name in ("density", "power", "noise_density", "bandwidth", "size_mean_bits", "fixed_lifespan"):
+        for name in (
+            "density", "power", "noise_density", "bandwidth", "size_mean_bits", "fixed_lifespan", "window_half_width"
+        ):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if not 0 <= self.zipf_exponent < math.inf:
             raise ConfigError(f"zipf_exponent must be finite and nonnegative, got {self.zipf_exponent!r}")
         if self.reorder not in ORDERING_MODES:
             raise ConfigError(f"unknown ordering {self.reorder!r}; expected one of {ORDERING_MODES}")
-        for name in ("iterations", "cache_capacity", "parallelism"):
-            if not (isinstance(getattr(self, name), int) and getattr(self, name) >= 1):
-                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        integers = (("iterations", 1), ("catalogue_size", 2), ("cache_capacity", 1), ("parallelism", 1), ("seed", 0))
+        for name, floor in integers:
+            try:
+                check_integer(name, getattr(self, name), floor)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if 2 * self.cache_capacity > self.catalogue_size:
             raise ConfigError("need catalogue_size >= 2 * cache_capacity")
-        if self.out_format not in ("csv", "json"):
+        if self.out_format not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output format {self.out_format!r}")
-        if not 0 < self.window_half_width < math.inf:
-            raise ConfigError("window_half_width must be finite and positive")
 
     @property
     def mc_samples(self) -> float:
@@ -287,10 +293,12 @@ _OVERRIDE_TYPES = {
     "out": str,
     "format": str,
 }
+# config keys that are also run flags; a flag given beats the file's key
+_CLI_KEYS = ("seed", "iterations", "parallelism", "out", "format")
 
 
 def build_preset(name: str, **overrides) -> ExperimentPreset:
-    """Instantiate a named preset, applying field overrides."""
+    """Instantiate a named preset, applying overrides: config keys or preset field names."""
     presets = _builtin_presets()
     if name == "custom":
         base = replace(presets["validate_video"], name="custom", variants=("custom",))
@@ -301,8 +309,6 @@ def build_preset(name: str, **overrides) -> ExperimentPreset:
     renames = {"out": "out_path", "format": "out_format"}
     mapped = {}
     for key, value in overrides.items():
-        if value is None:
-            continue
         if key == "tau_grid":
             mapped["sweeps"] = (("tau_mean", tuple(value)),)
             continue
@@ -313,8 +319,8 @@ def build_preset(name: str, **overrides) -> ExperimentPreset:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path) -> ExperimentPreset:
-    """Read a preset from an INI-style file with a single [preset-name] section."""
+def _read_config(path) -> dict:
+    """build_preset's keywords from an INI-style file: its one [section]'s name, and its keys."""
     parser = configparser.ConfigParser()
     try:
         loaded = parser.read(path)
@@ -328,15 +334,20 @@ def load_config(path) -> ExperimentPreset:
     if len(sections) > 1:
         raise ConfigError(f"{path}: expected exactly one preset section, found {sections}")
     name = sections[0]
-    overrides = {}
+    keys = {"name": name}
     for key, raw in parser.items(name):
         if key not in _OVERRIDE_TYPES:
             raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
         try:
-            overrides[key] = _OVERRIDE_TYPES[key](raw)
+            keys[key] = _OVERRIDE_TYPES[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None
-    return build_preset(name, **overrides)
+    return keys
+
+
+def load_config(path) -> ExperimentPreset:
+    """Read a preset from an INI-style file with a single [preset-name] section."""
+    return build_preset(**_read_config(path))
 
 
 @contextlib.contextmanager
@@ -511,14 +522,14 @@ def run_preset(preset: ExperimentPreset) -> list:
 
 
 def _record(row: ResultRow) -> dict:
-    """The output record of a row: CSV_COLUMNS in order, floats as Python floats."""
+    """The output record of a row: CSV_COLUMNS in order, numpy scalars as Python numbers."""
     values = {name: getattr(row, name) for name in CSV_COLUMNS}
-    return {name: float(v) if isinstance(v, float) else v for name, v in values.items()}
+    return {name: v.item() if isinstance(v, np.generic) else v for name, v in values.items()}
 
 
 def emit_results(rows, out_format: str, path) -> None:
     """Write rows as CSV or JSON with exactly the documented columns."""
-    if out_format not in ("csv", "json"):
+    if out_format not in OUTPUT_FORMATS:
         raise ConfigError(f"unknown output format {out_format!r}")
     records = [_record(row) for row in rows]
     try:
@@ -543,13 +554,10 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="d2dcache", description="cache-aided network experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a named preset or a config file")
+    run = sub.add_parser("run", help="run a named preset or a config file, writing <preset>.<format> unless --out")
     run.add_argument("target", help="preset name or path to a config file")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--iterations", type=int, default=None)
-    run.add_argument("--parallelism", type=int, default=None)
-    run.add_argument("--out", default=None, help="output path (default <preset>.<format>)")
-    run.add_argument("--format", choices=("csv", "json"), default=None)
+    for key in _CLI_KEYS:
+        run.add_argument(f"--{key}", type=_OVERRIDE_TYPES[key], choices=OUTPUT_FORMATS if key == "format" else None)
 
     sub.add_parser("list-presets", help="list available presets")
 
@@ -559,27 +567,16 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.target in PRESET_NAMES or args.target == "custom":
-        if args.target == "custom":
-            raise ConfigError("the custom preset requires a config file")
-        preset = build_preset(args.target)
+    if args.target == "custom":
+        raise ConfigError("the custom preset requires a config file")
+    if args.target in PRESET_NAMES:
+        keys = {"name": args.target}
     elif os.path.exists(args.target):
-        preset = load_config(args.target)
+        keys = _read_config(args.target)
     else:
         raise ConfigError(f"{args.target!r} is neither a preset name nor an existing config file")
-    cli_overrides = {
-        "seed": args.seed,
-        "iterations": args.iterations,
-        "parallelism": args.parallelism,
-        "out_path": args.out,
-        "out_format": args.format,
-    }
-    updates = {k: v for k, v in cli_overrides.items() if v is not None}
-    if updates:
-        try:
-            preset = replace(preset, **updates)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+    keys.update((key, getattr(args, key)) for key in _CLI_KEYS if getattr(args, key) is not None)
+    preset = build_preset(**keys)
     rows = run_preset(preset)
     out = preset.out_path or f"{preset.name}.{preset.out_format}"
     emit_results(rows, preset.out_format, out)

@@ -9,12 +9,11 @@ b_j * lambda.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .content import PopularityLaw
+from .content import PopularityLaw, check_integer
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,7 @@ class PlacementPolicy:
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "b", b)
-        if not (1 <= self.K < math.inf and int(self.K) == self.K):
-            raise ValueError("K must be a positive integer")
+        check_integer("K", self.K, 1)
         if not np.all((b >= 0) & (b <= 1)):
             raise ValueError("marginals must lie in [0, 1]")
         if b.sum() > self.K + 1e-9:
@@ -42,6 +40,7 @@ def popularity_weighted_marginals(popularity: PopularityLaw, K: int) -> Placemen
     Restricting mass to the top 2K objects and renormalizing by their
     popularity keeps sum(b) <= K while still favoring popular content.
     """
+    check_integer("K", K, 1)
     F = popularity.F
     if 2 * K > F:
         raise ValueError("need 2K <= F")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .analytics import AnalyticInputs, MetricEstimate
 from .channel import ExponentialFading, link_bits, sample_fading
-from .content import SizeLaw, check_ordering, order_statistic
+from .content import SizeLaw, check_integer, check_ordering, order_statistic
 from .geometry import Window, sample_disc
 from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
 
@@ -104,14 +104,11 @@ class SimulationConfig:
     reorder: str = "independent"
 
     def __post_init__(self):
-        for name in ("iterations", "parallelism"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_integer("iterations", self.iterations, 1)
+        check_integer("parallelism", self.parallelism, 1)
         check_ordering(self.reorder)
-        seeds = self.master_seed if isinstance(self.master_seed, tuple) else (self.master_seed,)
-        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in seeds):
-            raise ValueError(f"master_seed must be a nonnegative integer or a tuple of them, got {self.master_seed!r}")
+        for seed in self.master_seed if isinstance(self.master_seed, tuple) else (self.master_seed,):
+            check_integer("master_seed", seed, 0)
 
 
 def _campbell_terms(inputs: AnalyticInputs, z, b, density, tau):

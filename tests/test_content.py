@@ -11,6 +11,7 @@ from d2dcache import (
     ExponentialSize,
     LogNormalSize,
     ParetoSize,
+    PopularityLaw,
     UniformSize,
     WeibullSize,
     mean_size,
@@ -59,6 +60,18 @@ def test_zipf_rejects_degenerate_inputs():
         zipf_popularity(1, 0.78)
     with pytest.raises(ValueError):
         zipf_popularity(10, -0.1)
+    # a float F used to give F=20.5 with 21 probabilities
+    for F in (20.5, 3.0, True, np.float64(10.0)):
+        with pytest.raises(ValueError, match="F must be an integer of at least 2"):
+            zipf_popularity(F, 0.78)
+    assert zipf_popularity(np.int64(3), 1.0).a.shape == (3,)
+
+
+def test_popularity_law_needs_one_probability_per_object():
+    with pytest.raises(ValueError, match="one probability per object"):
+        PopularityLaw(F=3, a=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="one probability per object"):
+        PopularityLaw(F=2, a=np.array([[0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------- size laws

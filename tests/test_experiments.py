@@ -92,6 +92,25 @@ def test_preset_validation_errors():
         build_preset("validate_audio", format="xml")
     with pytest.raises(ConfigError, match="iterations"):
         build_preset("validate_audio", iterations=0)
+    # a float catalogue size used to build and then fail inside run_preset
+    with pytest.raises(ConfigError, match="catalogue_size must be an integer"):
+        build_preset("validate_audio", catalogue_size=20.5)
+
+
+@pytest.mark.parametrize(
+    "name,variants",
+    [
+        ("expected_comparison", ("gamma",)),
+        ("ordered_comparison", ("uniform", "Pareto")),
+        ("correlation_video", ("shuffled",)),
+    ],
+)
+def test_preset_variants_must_fit_their_kind(name, variants):
+    # an unknown comparison law used to build, then fail in run_preset with a bare KeyError
+    with pytest.raises(ConfigError, match="variants must come from"):
+        build_preset(name, variants=variants)
+    assert build_preset("expected_comparison", variants=("weibull",)).variants == ("weibull",)
+    assert build_preset("correlation_video", variants=("decreasing",)).variants == ("decreasing",)
 
 
 def test_ordered_comparison_uses_bigger_catalogue():
@@ -214,6 +233,19 @@ def test_emit_json_field_names(tmp_path):
     assert len(payload) == 1
     assert set(payload[0]) == set(experiments.CSV_COLUMNS)
     assert payload[0]["analytic"] == 0.38591324159218864
+
+
+def test_emit_json_writes_numpy_integers_as_ints(tmp_path):
+    preset = tiny_validate_preset(seed=np.int64(3), iterations=np.int64(10), catalogue_size=np.int32(20))
+    path = tmp_path / "rows.json"
+    emit_results(run_preset(preset), "json", path)
+    payload = json.loads(path.read_text())
+    assert type(payload[0]["seed"]) is int and payload[0]["seed"] == 3
+    assert type(payload[0]["n_iter"]) is int and payload[0]["n_iter"] == 10
+    # the same preset with plain integers gives the same rows
+    plain = tmp_path / "plain.json"
+    emit_results(run_preset(tiny_validate_preset(seed=3)), "json", plain)
+    assert path.read_text() == plain.read_text()
 
 
 def test_emit_rejects_unknown_format(tmp_path):
@@ -482,6 +514,18 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert "seed must be a nonnegative integer" in capsys.readouterr().err
     assert experiments.main(["run", "validate_audio", "--seed", "-1"]) == 1
     assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_cli_flags_validate_like_config_keys(tmp_path, capsys):
+    path = write_config(tmp_path, "[validate_audio]\niterations = 0\n")
+    assert experiments.main(["validate", str(path)]) == 1
+    from_file = capsys.readouterr().err
+    assert experiments.main(["run", "validate_audio", "--iterations", "0"]) == 1
+    assert capsys.readouterr().err == from_file == "error: iterations must be a positive integer, got 0\n"
+    # a bad file key fails even when a flag would override it
+    bad = write_config(tmp_path, "[validate_audio]\nseed = 1.5\n", name="bad.ini")
+    assert experiments.main(["run", str(bad), "--seed", "2"]) == 1
+    assert "bad value for 'seed'" in capsys.readouterr().err
 
 
 def test_cli_run_unknown_target(capsys):

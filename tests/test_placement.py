@@ -51,3 +51,17 @@ def test_policy_validation():
         PlacementPolicy(b=np.array([1.2, 0.0]), K=1)
     with pytest.raises(ValueError):
         PlacementPolicy(b=np.array([0.5, 0.5]), K=0)
+    for K in (True, 2.0, 1.5, np.float64(1.0)):
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            PlacementPolicy(b=np.array([0.5, 0.5]), K=K)
+    assert PlacementPolicy(b=np.array([0.5, 0.5]), K=np.int64(1)).K == 1
+
+
+def test_marginals_need_an_integer_capacity():
+    # a float K used to fail with a TypeError from the slice of the 2K head
+    pop = zipf_popularity(10, 0.78)
+    for K in (2.0, True, 2.5):
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            popularity_weighted_marginals(pop, K)
+    policy = popularity_weighted_marginals(pop, np.int64(2))
+    np.testing.assert_array_equal(policy.b, popularity_weighted_marginals(pop, 2).b)

@@ -149,11 +149,14 @@ def test_config_validation():
     for field, value in [
         ("iterations", 2.5),
         ("iterations", True),
+        ("iterations", False),
         ("iterations", np.float64(10.0)),
         ("parallelism", 1.5),
         ("parallelism", False),
         ("parallelism", "2"),
+        ("parallelism", True),
         ("master_seed", True),
+        ("master_seed", 2.5),
         ("master_seed", (1, False)),
     ]:
         with pytest.raises(ValueError, match=field):

@@ -3,8 +3,9 @@
 For each numeric field of each model dataclass (and each numeric INI key
 of a config file), any float is either rejected with ValueError
 (ConfigError for presets and config files) or was finite; the integer
-preset fields cache_capacity and parallelism must also be at least 1,
-and seed at least 0.
+preset fields must also be integers, not booleans, and at least their
+floors: catalogue_size 2, iterations, cache_capacity and parallelism 1,
+and seed 0.
 NaN and +-inf are always among the examples tried, because comparisons
 with NaN are false and so slip past a plain range check.
 """
@@ -102,18 +103,21 @@ def test_dataclass_fields_accept_only_finite_values(name, key, value):
 
 
 # preset fields that must moreover be integers, with their floors
-INTEGER_FLOORS = {"cache_capacity": 1, "parallelism": 1, "seed": 0}
+INTEGER_FLOORS = {"catalogue_size": 2, "iterations": 1, "cache_capacity": 1, "parallelism": 1, "seed": 0}
 
 
 def _admissible(key, value):
     if key in INTEGER_FLOORS:
+        if isinstance(value, bool):
+            return False
         return math.isfinite(value) and value >= INTEGER_FLOORS[key] and value.is_integer()
     return math.isfinite(value)
 
 
 def _integral(value):
-    """An integral float as an int, so that integer fields see 0, -1, 3, ..."""
-    return int(value) if value.is_integer() else value
+    """An integral float as an int, so that integer fields see 0, -1, 3, ...;
+    booleans pass through as booleans."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 # preset overrides that a config file cannot express, and the integer
@@ -121,9 +125,7 @@ def _integral(value):
 PRESET_OVERRIDES = {
     "fixed_lifespan": lambda value: dict(fixed_lifespan=value),
     "tau_grid": lambda value: dict(tau_grid=(10.0, value)),
-    "cache_capacity": lambda value: dict(cache_capacity=_integral(value)),
-    "parallelism": lambda value: dict(parallelism=_integral(value)),
-    "seed": lambda value: dict(seed=_integral(value)),
+    **{key: (lambda value, key=key: {key: _integral(value)}) for key in INTEGER_FLOORS},
 }
 
 
@@ -136,6 +138,8 @@ PRESET_OVERRIDES = {
 @example(value=0.0)
 @example(value=-1.0)
 @example(value=1500.5)
+@example(value=True)
+@example(value=False)
 def test_preset_overrides_accept_only_finite_values(key, value):
     try:
         build_preset("validate_audio", **PRESET_OVERRIDES[key](value))
