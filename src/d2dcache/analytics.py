@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import betaln, expit, log_expit, polygamma
 
 from .channel import FadingLaw, RadioParams, fading_moment
-from .content import ContentCatalogue, SizeLaw, check_integer, order_sizes, order_statistic
+from .content import ContentCatalogue, SizeLaw, check_integer, check_real, order_sizes, order_statistic
 from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
@@ -91,10 +91,8 @@ class MetricEstimate:
     sample_count: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"probability out of range: {self.value}")
-        if not 0 <= self.standard_error < math.inf:
-            raise ValueError("standard error must be finite and nonnegative")
+        check_real("value", self.value, 0, 1, "[]")
+        check_real("standard_error", self.standard_error, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,7 @@ class AnalyticInputs:
     catalogue: ContentCatalogue
 
     def __post_init__(self):
-        if self.density < 0 or not math.isfinite(self.density):
-            raise ValueError("density must be finite and nonnegative")
+        check_real("density", self.density, 0, math.inf, "[)")
         if self.policy.b.size != self.catalogue.F:
             raise ValueError("placement policy and catalogue disagree on F")
 
@@ -139,8 +136,7 @@ def _moment_argument(z, tau: float, bandwidth: float, alpha: float) -> np.ndarra
     if not np.all(np.isfinite(z) & (z > 0)):
         raise ValueError("z must be finite and positive")
     for name, value in (("tau", tau), ("bandwidth", bandwidth), ("alpha", alpha)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        check_real(name, value, 0, math.inf)
     return z / (bandwidth * tau)
 
 

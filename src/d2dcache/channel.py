@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn, hyp1f1, poch
 
+from .content import check_real
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -30,14 +32,10 @@ class RadioParams:
     pathloss_exponent: float
 
     def __post_init__(self):
-        if not 0 < self.power < math.inf:
-            raise ValueError("power must be finite and positive")
-        if not 0 < self.noise < math.inf:
-            raise ValueError("noise must be finite and positive")
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be finite and positive")
-        if not 2 < self.pathloss_exponent < math.inf:
-            raise ValueError("pathloss_exponent must be finite and exceed 2")
+        check_real("power", self.power, 0, math.inf)
+        check_real("noise", self.noise, 0, math.inf)
+        check_real("bandwidth", self.bandwidth, 0, math.inf)
+        check_real("pathloss_exponent", self.pathloss_exponent, 2, math.inf)
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,7 @@ class ExponentialFading:
     rate: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be finite and positive")
+        check_real("rate", self.rate, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,8 @@ class LogNormalFading:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
-            raise ValueError("mu must be finite and sigma finite and nonnegative")
+        check_real("mu", self.mu)
+        check_real("sigma", self.sigma, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,8 @@ class WeibullFading:
     shape: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.scale < math.inf and 0 < self.shape < math.inf):
-            raise ValueError("scale and shape must be finite and positive")
+        check_real("scale", self.scale, 0, math.inf)
+        check_real("shape", self.shape, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,8 @@ class NakagamiFading:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.m < math.inf and 0 < self.omega < math.inf):
-            raise ValueError("m and omega must be finite and positive")
+        check_real("m", self.m, 0, math.inf)
+        check_real("omega", self.omega, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,8 @@ class RiceFading:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (0 <= self.nu < math.inf and 0 < self.sigma < math.inf):
-            raise ValueError("nu must be finite and nonnegative and sigma finite and positive")
+        check_real("nu", self.nu, 0, math.inf, "[)")
+        check_real("sigma", self.sigma, 0, math.inf)
 
 
 FadingLaw = ExponentialFading | LogNormalFading | WeibullFading | NakagamiFading | RiceFading
@@ -136,8 +133,7 @@ def fading_moment(law: FadingLaw, alpha: float) -> float:
     scipy's 1F1 gives inf or NaN below K ~ 1e-166 or above 1e10 at small s;
     K <= 1e-16 takes 1F1 = 1 and K > 1e8 the expansion nu^s (1 + s^2/(4K)).
     """
-    if not 2 < alpha < math.inf:
-        raise ValueError("alpha must be finite and exceed 2")
+    check_real("alpha", alpha, 2, math.inf)
     q = 2.0 / alpha
     if isinstance(law, ExponentialFading):
         return law.rate ** (-q) * gamma_fn(q + 1.0)

@@ -18,6 +18,7 @@ from scipy.special import gamma as gamma_fn, ndtri
 ORDERING_MODES = ("independent", "increasing", "decreasing")
 
 _U_EPS = 1e-15  # keeps inverse CDFs strictly inside the law's support
+_REALS = (int, float, np.integer, np.floating)  # what check_real accepts, bools aside
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,7 @@ class PopularityLaw:
 def zipf_popularity(F: int, gamma: float) -> PopularityLaw:
     """Build the Zipf popularity vector for a catalogue of F >= 2 objects."""
     check_integer("F", F, 2)
-    if not 0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
+    check_real("gamma", gamma, 0, math.inf, "[)")
     ranks = np.arange(1, F + 1, dtype=float)
     weights = ranks ** (-gamma)
     a = weights / weights.sum()
@@ -57,9 +57,9 @@ class UniformSize:
     z_max: float
 
     def __post_init__(self):
+        check_real("z_max", self.z_max, 0, math.inf)
         # z_min == z_max is allowed: a point mass at a single size
-        if not 0 < self.z_min <= self.z_max < math.inf:
-            raise ValueError("need 0 < z_min <= z_max < inf")
+        check_real("z_min", self.z_min, 0, self.z_max, "(]")
 
     def inverse_cdf(self, u):
         return self.z_min + (self.z_max - self.z_min) * np.asarray(u, dtype=float)
@@ -70,8 +70,7 @@ class ExponentialSize:
     rate: float
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be finite and positive")
+        check_real("rate", self.rate, 0, math.inf)
 
     def inverse_cdf(self, u):
         return -np.log1p(-_clip_unit(u)) / self.rate
@@ -83,8 +82,8 @@ class ParetoSize:
     scale: float
 
     def __post_init__(self):
-        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
-            raise ValueError("shape and scale must be finite and positive")
+        check_real("shape", self.shape, 0, math.inf)
+        check_real("scale", self.scale, 0, math.inf)
 
     def inverse_cdf(self, u):
         return self.scale * (1.0 - _clip_unit(u)) ** (-1.0 / self.shape)
@@ -96,8 +95,8 @@ class WeibullSize:
     shape: float
 
     def __post_init__(self):
-        if not (0 < self.scale < math.inf and 0 < self.shape < math.inf):
-            raise ValueError("scale and shape must be finite and positive")
+        check_real("scale", self.scale, 0, math.inf)
+        check_real("shape", self.shape, 0, math.inf)
 
     def inverse_cdf(self, u):
         return self.scale * (-np.log1p(-_clip_unit(u))) ** (1.0 / self.shape)
@@ -109,8 +108,8 @@ class LogNormalSize:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
-            raise ValueError("mu must be finite and sigma finite and positive")
+        check_real("mu", self.mu)
+        check_real("sigma", self.sigma, 0, math.inf)
 
     def inverse_cdf(self, u):
         return np.exp(self.mu + self.sigma * ndtri(_clip_unit(u)))
@@ -157,7 +156,7 @@ class ContentCatalogue:
         object.__setattr__(self, "sizes", sizes)
         if sizes.shape != (self.popularity.F,):
             raise ValueError("need exactly one size per object")
-        if not np.all((sizes > 0) & (sizes < math.inf)):
+        if not np.all(np.isfinite(sizes) & (sizes > 0)):
             raise ValueError("sizes must be finite and positive")
 
     @property
@@ -170,6 +169,15 @@ def check_integer(name: str, value, floor: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
         rule = {0: "a nonnegative integer", 1: "a positive integer"}.get(floor, f"an integer of at least {floor}")
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf, ends: str = "()") -> None:
+    """Raise ValueError unless value is a finite int or float (numpy's count, bools do not) from low
+    to high, each end open or closed as ends writes it: "()", "[)", "(]" or "[]"."""
+    finite = isinstance(value, _REALS) and not isinstance(value, bool) and math.isfinite(value)
+    above = finite and (low <= value if ends[0] == "[" else low < value)
+    if not (above and (value <= high if ends[1] == "]" else value < high)):
+        raise ValueError(f"{name} must be a finite number in {ends[0]}{low:.12g}, {high:.12g}{ends[1]}, got {value!r}")
 
 
 def check_ordering(mode: str) -> None:

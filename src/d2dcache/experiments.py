@@ -80,6 +80,8 @@ from .content import (
     UniformSize,
     WeibullSize,
     check_integer,
+    check_ordering,
+    check_real,
     mean_size,
     order_sizes,
     sample_sizes,
@@ -120,10 +122,19 @@ COMPARISON_SIZE_LAWS = {
 
 OUTPUT_FORMATS = ("csv", "json")
 CSV_COLUMNS = ("sweep_name", "sweep_value", "variant", "analytic", "simulated", "stderr", "n_iter", "seed")
+# the preset field behind each model input that check_real's and check_integer's messages lead with
+_PRESET_FIELDS = dict(noise="noise_density * bandwidth", pathloss_exponent="alpha", rate="1 / size_mean_bits",
+                      mean="fixed_lifespan", half_width="window_half_width")
 
 
 class ConfigError(Exception):
     """Invalid preset name, config file or parameter value."""
+
+
+def _radio(preset: ExperimentPreset) -> RadioParams:
+    check_real("noise_density", preset.noise_density, 0, math.inf)  # True times the bandwidth is a valid noise
+    noise = preset.noise_density * preset.bandwidth
+    return RadioParams(power=preset.power, noise=noise, bandwidth=preset.bandwidth, pathloss_exponent=preset.alpha)
 
 
 @dataclass(frozen=True)
@@ -156,38 +167,34 @@ class ExperimentPreset:
         if self.kind not in ("validate", "correlation", "comparison"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         known = {"comparison": tuple(COMPARISON_SIZE_LAWS), "correlation": ORDERING_MODES}.get(self.kind, self.variants)
-        if not set(self.variants) <= set(known):
-            raise ConfigError(f"{self.kind} variants must come from {known}, got {self.variants}")
-        if not self.sweeps:
-            raise ConfigError("preset needs at least one sweep")
-        for sweep_name, grid in self.sweeps:
-            if len(grid) == 0:
-                raise ConfigError(f"sweep {sweep_name!r} has an empty grid")
-            if not all(b > a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"sweep {sweep_name!r} grid must be strictly increasing")
-            if not all(0 < v < math.inf for v in grid):
-                raise ConfigError(f"sweep {sweep_name!r} values must be finite and positive")
-        if not 2 < self.alpha < math.inf:
-            raise ConfigError("alpha must be finite and exceed 2")
-        for name in (
-            "density", "power", "noise_density", "bandwidth", "size_mean_bits", "fixed_lifespan", "window_half_width"
-        ):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
-        if not 0 <= self.zipf_exponent < math.inf:
-            raise ConfigError(f"zipf_exponent must be finite and nonnegative, got {self.zipf_exponent!r}")
-        if self.reorder not in ORDERING_MODES:
-            raise ConfigError(f"unknown ordering {self.reorder!r}; expected one of {ORDERING_MODES}")
-        integers = (("iterations", 1), ("catalogue_size", 2), ("cache_capacity", 1), ("parallelism", 1), ("seed", 0))
-        for name, floor in integers:
-            try:
-                check_integer(name, getattr(self, name), floor)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if 2 * self.cache_capacity > self.catalogue_size:
-            raise ConfigError("need catalogue_size >= 2 * cache_capacity")
+        if not self.variants or not set(self.variants) <= set(known):
+            detail = f"{known or 'any names'}, at least one, got {self.variants}"
+            raise ConfigError(f"{self.kind} variants must come from {detail}")
+        if not self.sweeps or not all(len(grid) for _, grid in self.sweeps):
+            raise ConfigError(f"preset needs at least one sweep, each with a nonempty grid, got {self.sweeps}")
         if self.out_format not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output format {self.out_format!r}")
+        try:
+            for sweep_name, grid in self.sweeps:
+                for low, value in zip((0, *grid), grid):
+                    check_real(f"each {sweep_name} of a positive, strictly increasing grid", value, low, math.inf)
+            check_real("density", self.density, 0, math.inf)
+            check_ordering(self.reorder)
+            floors = (("iterations", 1), ("parallelism", 1), ("seed", 0), ("catalogue_size", 2), ("cache_capacity", 1))
+            for name, floor in floors:
+                check_integer(name, getattr(self, name), floor)
+            # the popularity law and the placement hold catalogue_size floats each: checked, not built
+            check_real("zipf_exponent", self.zipf_exponent, 0, math.inf, "[)")
+            check_real("cache_capacity", self.cache_capacity, 0, self.catalogue_size / 2, "(]")
+            # the other fields are valid when the model built from them is
+            _radio(self)
+            check_real("size_mean_bits", self.size_mean_bits, 0, math.inf)  # its reciprocal is a rate, 1.0 for True
+            ExponentialSize(1.0 / self.size_mean_bits)
+            FixedLifespan(self.fixed_lifespan)
+            Window(self.window_half_width)
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_PRESET_FIELDS.get(name, name)} {rest}") from None
 
     @property
     def mc_samples(self) -> float:
@@ -213,9 +220,8 @@ class ResultRow:
     seed: int
 
     def __post_init__(self):
-        for value in (self.analytic, self.simulated):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"probability out of range: {value}")
+        check_real("analytic", self.analytic, 0, 1, "[]")
+        check_real("simulated", self.simulated, 0, 1, "[]")
 
     @property
     def stderr(self) -> float:
@@ -362,15 +368,6 @@ def _annotated(context: str):
 def _at_point(sweep_name, value, variant):
     """Attach the failing sweep point to numeric and value errors."""
     return _annotated(f"at {sweep_name}={value}, variant={variant!r}")
-
-
-def _radio(preset: ExperimentPreset) -> RadioParams:
-    return RadioParams(
-        power=preset.power,
-        noise=preset.noise_density * preset.bandwidth,
-        bandwidth=preset.bandwidth,
-        pathloss_exponent=preset.alpha,
-    )
 
 
 def _points(preset: ExperimentPreset) -> list:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .content import check_real
+
 
 @dataclass(frozen=True)
 class Window:
@@ -15,8 +17,7 @@ class Window:
     half_width: float
 
     def __post_init__(self):
-        if not math.isfinite(self.half_width) or self.half_width <= 0:
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        check_real("half_width", self.half_width, 0, math.inf)
 
 
 def sample_disc(intensity, radius, rng: np.random.Generator):

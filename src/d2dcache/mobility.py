@@ -12,14 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .content import check_real
+
 
 @dataclass(frozen=True)
 class FixedLifespan:
     mean: float
 
     def __post_init__(self):
-        if not 0 < self.mean < math.inf:
-            raise ValueError("lifespan must be finite and positive")
+        check_real("mean", self.mean, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ class ExponentialLifespan:
     mean: float
 
     def __post_init__(self):
-        if not 0 < self.mean < math.inf:
-            raise ValueError("mean lifespan must be finite and positive")
+        check_real("mean", self.mean, 0, math.inf)
 
 
 LifespanLaw = FixedLifespan | ExponentialLifespan

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -97,12 +98,28 @@ def test_preset_validation_errors():
         build_preset("validate_audio", catalogue_size=20.5)
 
 
+def test_preset_validation_allocates_nothing_per_object():
+    # the popularity law and the placement hold one float per object, so a
+    # preset checks their inputs instead of building them: validating must
+    # not allocate by a count it has yet to bound
+    tracemalloc.start()
+    try:
+        build_preset("validate_audio", catalogue_size=10_000_000, cache_capacity=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize(
     "name,variants",
     [
         ("expected_comparison", ("gamma",)),
         ("ordered_comparison", ("uniform", "Pareto")),
         ("correlation_video", ("shuffled",)),
+        # no variant used to build, and run_preset then returned no rows
+        ("validate_audio", ()),
+        ("expected_comparison", ()),
     ],
 )
 def test_preset_variants_must_fit_their_kind(name, variants):

@@ -1,13 +1,14 @@
 """Property tests: every validator accepts only finite numbers.
 
 For each numeric field of each model dataclass (and each numeric INI key
-of a config file), any float is either rejected with ValueError
-(ConfigError for presets and config files) or was finite; the integer
-preset fields must also be integers, not booleans, and at least their
+of a config file), any value is either rejected with ValueError
+(ConfigError for presets and config files) or was a finite int or float;
+the integer preset fields must also be integers and at least their
 floors: catalogue_size 2, iterations, cache_capacity and parallelism 1,
 and seed 0.
 NaN and +-inf are always among the examples tried, because comparisons
-with NaN are false and so slip past a plain range check.
+with NaN are false and so slip past a plain range check. So are True and
+False, which compare as 1 and 0, and the string "1".
 """
 
 import math
@@ -85,6 +86,14 @@ CONSTRUCTORS = {
 }
 
 FIELDS = [(name, key) for name, (_, kwargs) in CONSTRUCTORS.items() for key in kwargs]
+# fields that are entries of an array, which numpy converts to float first
+# (True to 1.0, "1" to 1.0); the array checks see only the converted value
+ARRAY_ENTRIES = {("ContentCatalogue", "size"), ("PlacementPolicy", "b0")}
+
+
+def _finite_number(value):
+    """A finite int or float (numpy's count); booleans and strings are not numbers."""
+    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @pytest.mark.parametrize("name,key", FIELDS)
@@ -93,13 +102,17 @@ FIELDS = [(name, key) for name, (_, kwargs) in CONSTRUCTORS.items() for key in k
 @example(value=math.nan)
 @example(value=math.inf)
 @example(value=-math.inf)
+@example(value=True)
+@example(value=False)
+@example(value="1")
 def test_dataclass_fields_accept_only_finite_values(name, key, value):
     build, kwargs = CONSTRUCTORS[name]
     try:
         build(**{**kwargs, key: value})
     except ValueError:
         return
-    assert math.isfinite(value), f"{name}({key}={value!r}) was accepted"
+    admissible = math.isfinite(float(value)) if (name, key) in ARRAY_ENTRIES else _finite_number(value)
+    assert admissible, f"{name}({key}={value!r}) was accepted"
 
 
 # preset fields that must moreover be integers, with their floors
@@ -107,11 +120,11 @@ INTEGER_FLOORS = {"catalogue_size": 2, "iterations": 1, "cache_capacity": 1, "pa
 
 
 def _admissible(key, value):
+    if not _finite_number(value):
+        return False
     if key in INTEGER_FLOORS:
-        if isinstance(value, bool):
-            return False
-        return math.isfinite(value) and value >= INTEGER_FLOORS[key] and value.is_integer()
-    return math.isfinite(value)
+        return value >= INTEGER_FLOORS[key] and float(value).is_integer()
+    return True
 
 
 def _integral(value):
@@ -120,11 +133,15 @@ def _integral(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-# preset overrides that a config file cannot express, and the integer
-# fields reached through build_preset
+# every numeric preset field, set through build_preset: a config file
+# cannot express fixed_lifespan, booleans or strings
+REAL_FIELDS = (
+    "density", "power", "noise_density", "bandwidth", "alpha", "zipf_exponent", "size_mean_bits", "fixed_lifespan",
+    "window_half_width",
+)
 PRESET_OVERRIDES = {
-    "fixed_lifespan": lambda value: dict(fixed_lifespan=value),
     "tau_grid": lambda value: dict(tau_grid=(10.0, value)),
+    **{key: (lambda value, key=key: {key: value}) for key in REAL_FIELDS},
     **{key: (lambda value, key=key: {key: _integral(value)}) for key in INTEGER_FLOORS},
 }
 
@@ -140,6 +157,7 @@ PRESET_OVERRIDES = {
 @example(value=1500.5)
 @example(value=True)
 @example(value=False)
+@example(value="1")
 def test_preset_overrides_accept_only_finite_values(key, value):
     try:
         build_preset("validate_audio", **PRESET_OVERRIDES[key](value))
@@ -167,3 +185,26 @@ def test_ini_keys_accept_only_finite_values(tmp_path_factory, key, value):
     except ConfigError:
         return
     assert _admissible(key, value), f"{key} = {value!r} was accepted"
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        # an increasing grid as 1 < 5, so it used to build
+        (dict(tau_grid=(True, 5.0)), "tau_mean"),
+        # a string used to fail with a bare TypeError from a comparison, naming no field
+        (dict(power="1"), "power"),
+        (dict(noise_density="1"), "noise_density"),
+    ],
+)
+def test_preset_refuses_booleans_and_strings_naming_the_field(overrides, field):
+    with pytest.raises(ConfigError, match=field):
+        build_preset("validate_audio", **overrides)
+
+
+def test_model_refuses_strings_naming_the_field():
+    # used to raise TypeError: '<' not supported between instances of 'int' and 'str'
+    with pytest.raises(ValueError, match="power must be a finite number"):
+        RadioParams(power="1", noise=5e-5, bandwidth=5e6, pathloss_exponent=4.0)
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        fading_moment(ExponentialFading(1.0), "4")
