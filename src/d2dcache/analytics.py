@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import betaln, expit, log_expit, polygamma
 
 from .channel import FadingLaw, RadioParams, fading_moment
-from .content import ContentCatalogue, SizeLaw, check_integer, check_real, order_sizes, order_statistic
+from .content import ContentCatalogue, SizeLaw, check_integer, check_real, check_reals, order_sizes, order_statistic
 from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
@@ -79,7 +79,7 @@ def _composite_gauss_legendre(panels: int):
 _MOMENT_RULES = (_composite_gauss_legendre(24), _composite_gauss_legendre(12))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricEstimate:
     """A probability estimate with its standard error and sample count.
 
@@ -118,13 +118,12 @@ def _log_threshold_power(x, q: float):
     Written as -q * (x*ln2 + log(-expm1(-x*ln2))), so neither the huge
     values near x = 0 nor the tiny ones at large x lose precision.
     """
-    y = np.asarray(x, dtype=float) * _LN2
+    y = x * _LN2
     return -q * (y + np.log(-np.expm1(-y)))
 
 
 def _threshold_power(x, alpha: float):
     """(2^x - 1)^(-2/alpha) for x in (0, inf), zero beyond the cutoff."""
-    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         out = np.exp(_log_threshold_power(x, 2.0 / alpha))
     return np.where(x > _X_CUTOFF, 0.0, out)
@@ -132,12 +131,9 @@ def _threshold_power(x, alpha: float):
 
 def _moment_argument(z, tau: float, bandwidth: float, alpha: float) -> np.ndarray:
     """x0 = z/(W*tau) as an array, once every argument is finite and positive."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z) & (z > 0)):
-        raise ValueError("z must be finite and positive")
     for name, value in (("tau", tau), ("bandwidth", bandwidth), ("alpha", alpha)):
         check_real(name, value, 0, math.inf)
-    return z / (bandwidth * tau)
+    return check_reals("z", z, 0, math.inf) / (bandwidth * tau)
 
 
 def _exponential_moment(x0, alpha: float):
@@ -160,7 +156,6 @@ def _exponential_moment(x0, alpha: float):
     """
     q = 2.0 / alpha
     c = 1.0 + q
-    x0 = np.asarray(x0, dtype=float)
     flat = x0.ravel()
     values = np.empty_like(flat)
     errors = np.empty_like(flat)
@@ -367,13 +362,6 @@ def coverage_radius_scale(inputs: AnalyticInputs) -> float:
     cached = inputs.policy.b > 0
     if not np.any(cached):
         return 0.0
-    its = np.atleast_1d(
-        lifespan_moment(
-            inputs.lifespan,
-            inputs.catalogue.sizes[cached],
-            inputs.radio.bandwidth,
-            alpha,
-        )
-    )
+    its = lifespan_moment(inputs.lifespan, inputs.catalogue.sizes[cached], inputs.radio.bandwidth, alpha)
     gain = (inputs.radio.power / inputs.radio.noise) ** (1.0 / alpha)
     return gain * math.sqrt(fading_moment(inputs.fading, alpha) * float(its.max()))

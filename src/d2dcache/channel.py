@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn, hyp1f1, poch
 
-from .content import check_real
+from .content import check_real, check_reals
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,8 @@ def link_bits(params: RadioParams, h, r, tau):
     tau >= 0 in seconds, broadcast together. A file of z bits is delivered
     when this is at least z.
     """
-    h, r, tau = (np.asarray(v, dtype=float) for v in (h, r, tau))
-    if np.any(r <= 0):
-        raise ValueError("distance must be positive (path loss singular at 0)")
-    if np.any(h < 0) or np.any(tau < 0):
-        raise ValueError("fading and lifespan must be nonnegative")
+    h, tau = check_reals("h", h, 0, math.inf, "[)"), check_reals("tau", tau, 0, math.inf, "[)")
+    r = check_reals("r", r, 0, math.inf)
     gain = params.power * h * r ** (-params.pathloss_exponent) / params.noise
     return tau * params.bandwidth * np.log1p(gain) / math.log(2.0)
 

@@ -29,9 +29,10 @@ class PopularityLaw:
     a: np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.a) != (self.F,):
-            raise ValueError(f"need one probability per object: F={self.F!r}, a has shape {np.shape(self.a)}")
-        if not abs(float(np.sum(self.a)) - 1.0) <= 1e-12:
+        object.__setattr__(self, "a", check_reals("a", self.a, 0, 1, "[]"))
+        if self.a.shape != (self.F,):
+            raise ValueError(f"need one probability per object: F={self.F!r}, a has shape {self.a.shape}")
+        if not abs(float(self.a.sum()) - 1.0) <= 1e-12:
             raise ValueError("popularity vector must sum to 1")
         if not np.all(np.diff(self.a) <= 0):
             raise ValueError("popularity vector must be nonincreasing")
@@ -152,12 +153,9 @@ class ContentCatalogue:
     sizes: np.ndarray
 
     def __post_init__(self):
-        sizes = np.asarray(self.sizes, dtype=float)
-        object.__setattr__(self, "sizes", sizes)
-        if sizes.shape != (self.popularity.F,):
+        object.__setattr__(self, "sizes", check_reals("sizes", self.sizes, 0, math.inf))
+        if self.sizes.shape != (self.popularity.F,):
             raise ValueError("need exactly one size per object")
-        if not np.all(np.isfinite(sizes) & (sizes > 0)):
-            raise ValueError("sizes must be finite and positive")
 
     @property
     def F(self) -> int:
@@ -171,13 +169,33 @@ def check_integer(name: str, value, floor: int) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _is_real(value, low: float, high: float, ends: str) -> bool:
+    finite = isinstance(value, _REALS) and not isinstance(value, bool) and math.isfinite(value)
+    above = finite and (low <= value if ends[0] == "[" else low < value)
+    return above and (value <= high if ends[1] == "]" else value < high)
+
+
 def check_real(name: str, value, low: float = -math.inf, high: float = math.inf, ends: str = "()") -> None:
     """Raise ValueError unless value is a finite int or float (numpy's count, bools do not) from low
     to high, each end open or closed as ends writes it: "()", "[)", "(]" or "[]"."""
-    finite = isinstance(value, _REALS) and not isinstance(value, bool) and math.isfinite(value)
-    above = finite and (low <= value if ends[0] == "[" else low < value)
-    if not (above and (value <= high if ends[1] == "]" else value < high)):
+    if not _is_real(value, low, high, ends):
         raise ValueError(f"{name} must be a finite number in {ends[0]}{low:.12g}, {high:.12g}{ends[1]}, got {value!r}")
+
+
+def check_reals(name: str, values, low: float = -math.inf, high: float = math.inf, ends: str = "()") -> np.ndarray:
+    """values as a float array of any shape once each entry passes check_real. For an int or float ndarray the
+    least and greatest entries decide, as the range is an interval and NaN carries through both; anything else,
+    where numpy would read True or "1" as 1.0, has each entry checked, and so does a failure, to name the first."""
+    array = np.asarray(values)
+    if isinstance(values, np.ndarray) and array.dtype.kind in "iuf":
+        array = array.astype(float, copy=False)
+        if not array.size or (_is_real(array.min(), low, high, ends) and _is_real(array.max(), low, high, ends)):
+            return array
+    for value in np.asarray(values, dtype=object).flat:
+        check_real(name, value, low, high, ends)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of finite numbers, got one of dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def check_ordering(mode: str) -> None:

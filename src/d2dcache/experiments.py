@@ -313,12 +313,12 @@ def build_preset(name: str, **overrides) -> ExperimentPreset:
     else:
         raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES + ('custom',))}")
     renames = {"out": "out_path", "format": "out_format"}
-    mapped = {}
-    for key, value in overrides.items():
-        if key == "tau_grid":
-            mapped["sweeps"] = (("tau_mean", tuple(value)),)
-            continue
-        mapped[renames.get(key, key)] = value
+    mapped = {renames.get(key, key): value for key, value in overrides.items() if key != "tau_grid"}
+    if "tau_grid" in overrides:
+        try:
+            mapped["sweeps"] = (("tau_mean", tuple(overrides["tau_grid"])),)
+        except TypeError:
+            raise ConfigError(f"tau_grid must be a sequence of mean lifespans, got {overrides['tau_grid']!r}") from None
     try:
         return replace(base, **mapped)
     except TypeError as exc:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import check_real
+from .content import check_real, check_reals
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,8 @@ def sample_disc(intensity, radius, rng: np.random.Generator):
     origin. Returns (owner, distance), one entry per point, grouped by
     field in index order.
     """
-    intensity, radius = np.broadcast_arrays(np.atleast_1d(np.asarray(intensity, float)), np.asarray(radius, float))
-    for name, value in (("intensity", intensity), ("radius", radius)):
-        if not np.all(np.isfinite(value) & (value >= 0)):
-            raise ValueError(f"{name} must be finite and nonnegative")
+    intensity = np.atleast_1d(check_reals("intensity", intensity, 0, math.inf, "[)"))
+    intensity, radius = np.broadcast_arrays(intensity, check_reals("radius", radius, 0, math.inf, "[)"))
     counts = rng.poisson(intensity * math.pi * radius**2)
     owner = np.repeat(np.arange(counts.size), counts)
     return owner, radius[owner] * np.sqrt(1.0 - rng.random(owner.size))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import PopularityLaw, check_integer
+from .content import PopularityLaw, check_integer, check_reals
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,10 @@ class PlacementPolicy:
     K: int
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", check_reals("b", self.b, 0, 1, "[]"))
         check_integer("K", self.K, 1)
-        if not np.all((b >= 0) & (b <= 1)):
-            raise ValueError("marginals must lie in [0, 1]")
-        if b.sum() > self.K + 1e-9:
-            raise ValueError(f"sum of marginals {b.sum():.6f} exceeds capacity {self.K}")
+        if self.b.sum() > self.K + 1e-9:
+            raise ValueError(f"sum of marginals {self.b.sum():.6f} exceeds capacity {self.K}")
 
 
 def popularity_weighted_marginals(popularity: PopularityLaw, K: int) -> PlacementPolicy:

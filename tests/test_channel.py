@@ -51,10 +51,9 @@ def test_snr_zero_fading_and_power_law(params):
 
 
 def test_snr_rejects_zero_distance(params):
-    with pytest.raises(ValueError):
-        link_bits(params, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        link_bits(params, 1.0, np.array([10.0, -1.0]), 1.0)
+    for bad in (0.0, np.array([10.0, -1.0]), math.nan, True, "1"):
+        with pytest.raises(ValueError):
+            link_bits(params, 1.0, bad, 1.0)
 
 
 def test_rate_reference_values(params):
@@ -64,10 +63,11 @@ def test_rate_reference_values(params):
     assert link_bits(params, h_for_snr(3.0), 10.0, 1.0) == pytest.approx(1e7, rel=1e-12)
     assert link_bits(params, h_for_snr(3.0), 10.0, 2.5) == pytest.approx(2.5e7, rel=1e-12)
     assert link_bits(params, 1.0, 10.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        link_bits(params, -0.5, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        link_bits(params, 1.0, 10.0, -1.0)
+    for bad in (-0.5, math.nan, True, "1"):
+        with pytest.raises(ValueError):
+            link_bits(params, bad, 10.0, 1.0)
+        with pytest.raises(ValueError):
+            link_bits(params, 1.0, 10.0, bad)
 
 
 def test_rate_monotone_and_snr_decreasing_in_distance(params):

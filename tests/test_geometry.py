@@ -38,7 +38,7 @@ def test_zero_density_gives_empty_field():
 
 
 def test_negative_or_nonfinite_density_rejected():
-    for bad in (-1e-3, float("nan"), float("inf")):
+    for bad in (-1e-3, float("nan"), float("inf"), True, "1"):
         with pytest.raises(ValueError):
             sample_disc(bad, 100.0, rng_for(1))
         with pytest.raises(ValueError):

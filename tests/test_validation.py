@@ -1,7 +1,8 @@
 """Property tests: every validator accepts only finite numbers.
 
-For each numeric field of each model dataclass (and each numeric INI key
-of a config file), any value is either rejected with ValueError
+For each numeric field of each model dataclass, each entry of an array
+input and each numeric INI key of a config file, any value is either
+rejected with ValueError
 (ConfigError for presets and config files) or was a finite int or float;
 the integer preset fields must also be integers and at least their
 floors: catalogue_size 2, iterations, cache_capacity and parallelism 1,
@@ -32,6 +33,7 @@ from d2dcache import (
     NakagamiFading,
     ParetoSize,
     PlacementPolicy,
+    PopularityLaw,
     RadioParams,
     RiceFading,
     UniformSize,
@@ -40,22 +42,38 @@ from d2dcache import (
     Window,
     build_preset,
     fading_moment,
+    lifespan_moment,
+    link_bits,
     load_config,
     popularity_weighted_marginals,
+    sample_disc,
     zipf_popularity,
 )
+
+RADIO = RadioParams(power=0.5, noise=5e-5, bandwidth=5e6, pathloss_exponent=4.0)
 
 
 def _inputs(density):
     popularity = zipf_popularity(10, 0.78)
     return AnalyticInputs(
         density=density,
-        radio=RadioParams(power=0.5, noise=5e-5, bandwidth=5e6, pathloss_exponent=4.0),
+        radio=RADIO,
         fading=ExponentialFading(1.0),
         lifespan=FixedLifespan(100.0),
         policy=popularity_weighted_marginals(popularity, 2),
         catalogue=ContentCatalogue(popularity=popularity, sizes=np.full(10, 1e9)),
     )
+
+
+def _quiet(function):
+    """function with numpy's floating-point warnings off: an extreme finite input (a huge h, a tiny r
+    or z) may overflow or underflow on the way, which is a result, not an input error."""
+
+    def call(**kwargs):
+        with np.errstate(all="ignore"):
+            return function(**kwargs)
+
+    return call
 
 
 # constructor and a valid keyword set; each keyword is varied on its own
@@ -75,20 +93,25 @@ CONSTRUCTORS = {
     "WeibullSize": (WeibullSize, dict(scale=276.0, shape=0.1)),
     "LogNormalSize": (LogNormalSize, dict(mu=20.0, sigma=4.0)),
     "zipf_popularity": (lambda gamma: zipf_popularity(100, gamma), dict(gamma=0.78)),
+    "PopularityLaw": (lambda a0: PopularityLaw(F=2, a=[a0, 0.0]), dict(a0=1.0)),
     "ContentCatalogue": (
         lambda size: ContentCatalogue(popularity=zipf_popularity(3, 1.0), sizes=[1e9, size, 2e9]),
         dict(size=1.5e9),
     ),
     "PlacementPolicy": (lambda b0, K: PlacementPolicy(b=[b0, 0.5], K=K), dict(b0=0.5, K=1)),
     "Window": (Window, dict(half_width=500.0)),
+    # each field varies on a disc of radius 0 or of intensity 0, so that no value draws points
+    "sample_disc": (
+        _quiet(lambda intensity, radius: sample_disc(intensity, radius, np.random.default_rng(0))),
+        dict(intensity=0.0, radius=0.0),
+    ),
+    "link_bits": (_quiet(lambda h, r, tau: link_bits(RADIO, h, r, tau)), dict(h=1.0, r=10.0, tau=1.0)),
+    "lifespan_moment": (_quiet(lambda z: lifespan_moment(FixedLifespan(10.0), z, 5e6, 4.0)), dict(z=1e6)),
     "AnalyticInputs": (_inputs, dict(density=2.5e-3)),
     "MetricEstimate": (MetricEstimate, dict(value=0.5, standard_error=0.01)),
 }
 
 FIELDS = [(name, key) for name, (_, kwargs) in CONSTRUCTORS.items() for key in kwargs]
-# fields that are entries of an array, which numpy converts to float first
-# (True to 1.0, "1" to 1.0); the array checks see only the converted value
-ARRAY_ENTRIES = {("ContentCatalogue", "size"), ("PlacementPolicy", "b0")}
 
 
 def _finite_number(value):
@@ -111,8 +134,7 @@ def test_dataclass_fields_accept_only_finite_values(name, key, value):
         build(**{**kwargs, key: value})
     except ValueError:
         return
-    admissible = math.isfinite(float(value)) if (name, key) in ARRAY_ENTRIES else _finite_number(value)
-    assert admissible, f"{name}({key}={value!r}) was accepted"
+    assert _finite_number(value), f"{name}({key}={value!r}) was accepted"
 
 
 # preset fields that must moreover be integers, with their floors
@@ -195,6 +217,8 @@ def test_ini_keys_accept_only_finite_values(tmp_path_factory, key, value):
         # a string used to fail with a bare TypeError from a comparison, naming no field
         (dict(power="1"), "power"),
         (dict(noise_density="1"), "noise_density"),
+        # used to raise a bare TypeError from tuple(5)
+        (dict(tau_grid=5), "tau_grid"),
     ],
 )
 def test_preset_refuses_booleans_and_strings_naming_the_field(overrides, field):
@@ -208,3 +232,27 @@ def test_model_refuses_strings_naming_the_field():
         RadioParams(power="1", noise=5e-5, bandwidth=5e6, pathloss_exponent=4.0)
     with pytest.raises(ValueError, match="alpha must be a finite number"):
         fading_moment(ExponentialFading(1.0), "4")
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        # each used to be accepted: numpy read True, False and numeric strings in a list as floats
+        (lambda: PopularityLaw(F=2, a=np.array([1.5, -0.5])), "a"),
+        (lambda: ContentCatalogue(popularity=zipf_popularity(3, 1.0), sizes=[1e9, True, "2e9"]), "sizes"),
+        (lambda: PlacementPolicy(b=[False, 0.5], K=1), "b"),
+        (lambda: link_bits(RADIO, np.nan, 10.0, 1.0), "h"),
+        (lambda: link_bits(RADIO, ["1.0"], [10.0], [1.0]), "h"),
+        (lambda: sample_disc(True, 10.0, np.random.default_rng(0)), "intensity"),
+        (lambda: sample_disc("0.01", "10", np.random.default_rng(0)), "intensity"),
+        (lambda: lifespan_moment(FixedLifespan(10.0), True, 5e6, 4.0), "z"),
+        (lambda: lifespan_moment(FixedLifespan(10.0), ["1e6"], 5e6, 4.0), "z"),
+    ],
+    ids=[
+        "PopularityLaw-range", "ContentCatalogue-bool", "PlacementPolicy-bool", "link_bits-nan", "link_bits-string",
+        "sample_disc-bool", "sample_disc-string", "lifespan_moment-bool", "lifespan_moment-string",
+    ],
+)
+def test_array_inputs_refuse_bad_entries_naming_the_input(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        build()
