@@ -130,10 +130,13 @@ def _threshold_power(x, alpha: float):
 
 
 def _moment_argument(z, tau: float, bandwidth: float, alpha: float) -> np.ndarray:
-    """x0 = z/(W*tau) as an array, once every argument is finite and positive."""
+    """x0 = z/(W*tau) as an array once every argument is finite and positive and no entry underflows to 0."""
     for name, value in (("tau", tau), ("bandwidth", bandwidth), ("alpha", alpha)):
         check_real(name, value, 0, math.inf)
-    return check_reals("z", z, 0, math.inf) / (bandwidth * tau)
+    x0 = check_reals("z", z, 0, math.inf) / (bandwidth * tau)
+    if x0.min(initial=math.inf) == 0.0:
+        raise ArithmeticError(f"z/(W*tau) underflows to 0 at z={float(np.min(z))!r}, W*tau={bandwidth * tau!r}")
+    return x0
 
 
 def _exponential_moment(x0, alpha: float):

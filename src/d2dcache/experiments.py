@@ -44,7 +44,7 @@ sub-streams — (S, 1) for the catalogue size sample of the validate and
 correlation presets, and (S, 3, sweep, point, variant) as the simulator
 master seed. The correlation preset deliberately shares
 (S, 3, sweep, point) across its variants. The simulator draws each
-block's requested ranks first, so the variants see the same request
+configuration's requested ranks first, so the variants see the same request
 sequence; the transmitter fields that follow differ, because each
 ordering gives the requested object its own size and simulation radius.
 """

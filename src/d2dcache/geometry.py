@@ -27,14 +27,19 @@ def sample_disc(intensity, radius, rng: np.random.Generator):
     per square meter on the disc of radius[i] meters around the origin
     (both broadcast to one dimension). Only distances matter to a receiver
     at the origin, so no angles are drawn. The draws are the counts,
-    Poisson(intensity * pi * radius^2) per field (a field with mean 0
-    draws nothing), then one uniform U per point, placed at
-    radius * sqrt(1 - U): uniform over the disc's area and never at the
-    origin. Returns (owner, distance), one entry per point, grouped by
-    field in index order.
+    Poisson(intensity * pi * radius^2) per field (none at intensity 0,
+    whatever the radius; ValueError past what numpy can draw), then one
+    uniform U per point, placed at radius * sqrt(1 - U): uniform over the
+    disc's area and never at the origin. Returns (owner, distance), one
+    entry per point, grouped by field in index order.
     """
     intensity = np.atleast_1d(check_reals("intensity", intensity, 0, math.inf, "[)"))
     intensity, radius = np.broadcast_arrays(intensity, check_reals("radius", radius, 0, math.inf, "[)"))
-    counts = rng.poisson(intensity * math.pi * radius**2)
+    mean = intensity * math.pi * np.where(intensity > 0, radius, 0.0) ** 2
+    try:
+        counts = rng.poisson(mean)
+    except ValueError:
+        i = mean.argmax()
+        raise ValueError(f"intensity={intensity[i]:g} and radius={radius[i]:g} give too many points to draw") from None
     owner = np.repeat(np.arange(counts.size), counts)
     return owner, radius[owner] * np.sqrt(1.0 - rng.random(owner.size))

@@ -25,26 +25,22 @@ most TRUNCATION_BOUND, and the window's half-width caps it; the estimate
 warns when the cap binds. Under other fading laws R is the half-width. No
 scipy and no closed form go into R: the Monte Carlo reads nothing it checks.
 
-Reproducibility contract: requests run in blocks of BLOCK_SIZE. Block k
-draws only from the stream SeedSequence(master_seed, spawn_key=(k,)), in
-this order: the requested ranks, the requested sizes (none for a fixed
-catalogue), the transmitter counts, their distances, their fading, their
-lifespans. Each configuration runs in two phases. Phase 1 opens every
-block's stream and draws its ranks and sizes. The radii follow: under a
-size law, one search over the cached requests of all the configuration's
-blocks; for a fixed catalogue, R_j depends on the configuration alone,
-and one search serves the cached objects of every fixed-catalogue
-configuration of a sweep that shares its radio, fading law and lifespan
-law. Phase 2 continues each block's stream with the field, its marks and
-the link test. Every radius depends on its own row alone, and blocks are
-concatenated in index order, so estimates are bit-identical for any
-parallelism width, across process boundaries and whatever else shares
-the sweep.
+Reproducibility contract: each configuration draws only from the stream
+SeedSequence(master_seed), in this order: the requested ranks, the
+requested sizes (none for a fixed catalogue), the transmitter counts,
+their distances, their fading, their lifespans. The radii come between
+the sizes and the counts: one search over the configuration's cached
+requests under a size law, and one over the cached objects of all the
+sweep's fixed-catalogue configurations that share a radio, fading law
+and lifespan law. Every radius depends on its own row alone, so
+estimates are bit-identical whatever else shares the sweep, and for any
+parallelism, which maps a sweep's configurations over one process pool
+as wide as the largest parallelism among them, but no wider than their
+number.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,7 +53,6 @@ from .content import SizeLaw, check_integer, check_ordering, order_statistic
 from .geometry import Window, sample_disc
 from .mobility import ExponentialLifespan, FixedLifespan, sample_lifespan
 
-BLOCK_SIZE = 256
 # Largest probability that a request's disc misses a transmitter which
 # would have served it from farther away.
 TRUNCATION_BOUND = 1e-9
@@ -219,20 +214,18 @@ def _request_sizes(config: SimulationConfig, rng: np.random.Generator, j: np.nda
     return np.asarray(config.size_law.inverse_cdf(u), dtype=float)
 
 
-def _draw_requests(config: SimulationConfig, k: int):
-    """Phase 1 of block k: its generator, after it has drawn the block's
-    requested ranks j, then their sizes z."""
-    n = min(BLOCK_SIZE, config.iterations - k * BLOCK_SIZE)
-    rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(k,)))
+def _draw_requests(config: SimulationConfig):
+    """Phase 1: the config's generator, after it has drawn the requested ranks j, then their sizes z."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.master_seed))
     cum = np.cumsum(config.inputs.catalogue.popularity.a)
-    j = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), config.inputs.catalogue.F - 1)
+    j = np.minimum(np.searchsorted(cum, rng.random(config.iterations), side="right"), config.inputs.catalogue.F - 1)
     return rng, j, _request_sizes(config, rng, j)
 
 
-def _sample_block(inputs: AnalyticInputs, block):
-    """Phase 2 of a block (rng, j, z, r_max): whether each request is served
-    by the field drawn on its disc of radius r_max."""
-    rng, j, z, r_max = block
+def _sample_requests(task):
+    """Phase 2 of a config (inputs, rng, j, z, r_max): whether each request
+    is served by the field drawn on its disc of radius r_max."""
+    inputs, rng, j, z, r_max = task
     owner, r = sample_disc(inputs.density * inputs.policy.b[j], r_max, rng)
     h = sample_fading(inputs.fading, rng, size=owner.size)
     tau = sample_lifespan(inputs.lifespan, rng, size=owner.size)
@@ -244,43 +237,41 @@ def _estimate(configs: list) -> list:
     """The estimate of each config, warning (at the public caller's line)
     once for each config whose window caps a disc."""
     catalogue = _catalogue_radii(configs)
+
+    def tasks():
+        # built lazily, so that a serial run holds one config's draws at a time
+        for i, config in enumerate(configs):
+            x, (rng, j, z) = config.inputs, _draw_requests(config)
+            if config.size_law is None:
+                radii, worst = catalogue[i]
+                r_max = radii[j]
+            else:
+                cached = x.policy.b[j] > 0
+                r_max = np.zeros(j.size)
+                r_max[cached], capped = _radii(
+                    x, z[cached], x.policy.b[j[cached]], x.density, x.lifespan.mean, config.window.half_width
+                )
+                worst = float(capped.max(initial=0.0))
+            if worst > TRUNCATION_BOUND:
+                # the stack is this generator, _estimate (which drives it), the public function and its caller
+                warnings.warn(
+                    f"window half-width {config.window.half_width:g} m caps the simulation disc below its computed "
+                    f"radius: truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
+                    stacklevel=4,
+                )
+            yield x, rng, j, z, r_max
+
+    workers = min(max((config.parallelism for config in configs), default=1), len(configs))
+    if workers <= 1:
+        served = map(_sample_requests, tasks())
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            served = list(pool.map(_sample_requests, list(tasks()), chunksize=-(-len(configs) // workers)))
     estimates = []
-    for i, config in enumerate(configs):
-        inputs = config.inputs
-        blocks = [_draw_requests(config, k) for k in range(-(-config.iterations // BLOCK_SIZE))]
-        j = np.concatenate([block[1] for block in blocks])
-        if config.size_law is None:
-            radii, worst = catalogue[i]
-            r_max = radii[j]
-        else:
-            z = np.concatenate([block[2] for block in blocks])
-            b = inputs.policy.b[j]
-            cached = b > 0
-            r_max = np.zeros(j.size)
-            r_max[cached], capped = _radii(
-                inputs, z[cached], b[cached], inputs.density, inputs.lifespan.mean, config.window.half_width
-            )
-            worst = float(capped.max(initial=0.0))
-        tasks = [block + (r_max[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE],) for k, block in enumerate(blocks)]
-        run = functools.partial(_sample_block, inputs)
-        workers = min(config.parallelism, len(tasks))
-        if workers == 1:
-            parts = [run(task) for task in tasks]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(run, tasks, chunksize=-(-len(tasks) // workers)))
-        if worst > TRUNCATION_BOUND:
-            warnings.warn(
-                f"window half-width {config.window.half_width:g} m caps the simulation disc below its computed radius: "
-                f"truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
-                UserWarning,
-                stacklevel=3,
-            )
-        success = np.concatenate(parts)
+    for success in served:
         p = float(success.mean())
-        stderr = math.sqrt(p * (1.0 - p) / success.size)
-        estimates.append(MetricEstimate(value=p, standard_error=stderr, sample_count=int(success.size)))
+        estimates.append(MetricEstimate(p, math.sqrt(p * (1.0 - p) / success.size), success.size))
     return estimates
 
 

@@ -387,8 +387,8 @@ def test_csv_output_reproducible_across_runs_and_workers(tmp_path):
 
 @pytest.mark.criterion(7, "byte-identical reruns", part="ordered")
 def test_ordered_comparison_csv_reproducible_across_workers(tmp_path):
-    # sizes redrawn per request as order statistics; 600 requests span
-    # three blocks, the last one partial
+    # sizes redrawn per request as order statistics; the run's sweep
+    # points share one process pool at WORKERS workers
     outputs = _rerun_bytes(
         tmp_path, "[ordered_comparison]\niterations = 600\nseed = 5\ntau_grid = 100, 1000\n"
     )

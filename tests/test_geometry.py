@@ -26,9 +26,14 @@ def nearest(owner, distance, fields):
     return out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_density_gives_empty_field():
     owner, distance = sample_disc(np.zeros(3), np.full(3, 1000.0), rng_for(0))
     assert owner.size == 0 and distance.size == 0
+    # at any finite radius: pi * radius^2 overflows past 1.3e154 m, and 0 * inf used to be NaN
+    for radius in (1e200, np.finfo(float).max):
+        owner, distance = sample_disc(0.0, radius, rng_for(0))
+        assert owner.size == 0 and distance.size == 0
     # a field of zero intensity draws nothing, so its neighbours' draws
     # are those of the same fields sampled without it
     mixed = sample_disc([1e-3, 0.0, 1e-3], [300.0, 300.0, 300.0], rng_for(1))
@@ -43,6 +48,9 @@ def test_negative_or_nonfinite_density_rejected():
             sample_disc(bad, 100.0, rng_for(1))
         with pytest.raises(ValueError):
             sample_disc(1e-3, bad, rng_for(1))
+    # a finite mean count too large for numpy's Poisson sampler names both inputs
+    with pytest.raises(ValueError, match=r"^intensity=0\.001 and radius=1e\+100 give too many points"):
+        sample_disc([1e-3, 1e-3], [10.0, 1e100], rng_for(1))
 
 
 def test_mean_count_matches_intensity_on_reference_window():

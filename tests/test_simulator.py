@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import inspect
 import math
 import warnings
@@ -40,7 +41,6 @@ from d2dcache.analytics import size_rule
 from d2dcache.experiments import _radio
 from d2dcache.simulator import (
     _BISECTIONS,
-    BLOCK_SIZE,
     TRUNCATION_BOUND,
     _campbell_terms,
     _catalogue_radii,
@@ -48,7 +48,7 @@ from d2dcache.simulator import (
     _qualifier_bounds,
     _radii,
     _request_sizes,
-    _sample_block,
+    _sample_requests,
 )
 
 from conftest import single_object
@@ -170,50 +170,57 @@ def test_config_validation():
 # ---------------------------------------------------------- reproducibility
 
 
-def _run_block(config, radii, k):
-    """Outcomes of block k, both phases, with per-object radii."""
-    rng, j, z = _draw_requests(config, k)
-    return _sample_block(config.inputs, (rng, j, z, radii[j]))
+def _outcomes(config, radii):
+    """Outcome of each request, both phases, with per-object radii."""
+    rng, j, z = _draw_requests(config)
+    return _sample_requests((config.inputs, rng, j, z, radii[j]))
 
 
 def test_same_seed_reproduces_every_outcome():
-    config = make_config(small_inputs(), iterations=3 * BLOCK_SIZE, seed=42)
+    config = make_config(small_inputs(), iterations=768, seed=42)
     per_object, _ = _catalogue_radii([config])[0]
-    first = [_run_block(config, per_object, k) for k in range(3)]
-    second = [_run_block(config, per_object, k) for k in range(3)]
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
-    shifted = [_run_block(replace(config, master_seed=43), per_object, k) for k in range(3)]
-    assert any(not np.array_equal(a, b) for a, b in zip(first, shifted))
-    # a full block's outcomes do not depend on how many requests follow it
-    short = replace(config, iterations=BLOCK_SIZE + 10)
-    assert np.array_equal(_run_block(short, per_object, 0), first[0])
-    assert _run_block(short, per_object, 1).size == 10
+    first = _outcomes(config, per_object)
+    assert first.size == 768
+    assert np.array_equal(first, _outcomes(config, per_object))
+    assert not np.array_equal(first, _outcomes(replace(config, master_seed=43), per_object))
 
 
 def test_parallelism_does_not_change_the_estimate():
-    # 1000 requests: three full blocks and a partial one
+    # a single config runs in-process at any width, so the widths apply to a sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        estimates = [estimate_sweep(_mixed_sweep(workers)) for workers in (1, 2, 3)]
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
+def test_a_sweep_starts_one_pool_and_a_single_config_none(monkeypatch):
+    widths = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     inputs = small_inputs()
-    estimates = [
-        estimate_total_success(make_config(inputs, iterations=1000, seed=7, parallelism=workers))
-        for workers in (1, 2, 3)
-    ]
-    assert all(e == estimates[0] for e in estimates)
-    law = WeibullSize(276.0, 0.1)
-    ordered = [
-        estimate_total_success(
-            make_config(inputs, iterations=1000, seed=7, parallelism=workers, size_law=law, reorder="decreasing")
-        )
-        for workers in (1, 3)
-    ]
-    assert ordered[0] == ordered[1]
+    configs = [make_config(inputs, iterations=300, seed=(5, i), parallelism=2) for i in range(3)]
+    serial = estimate_sweep([replace(config, parallelism=1) for config in configs])
+    assert widths == []
+    assert estimate_sweep(configs) == serial
+    assert widths == [2]
+    # the widest config sets the width, capped at the number of configs
+    assert estimate_sweep([configs[0], replace(configs[1], parallelism=8)]) == serial[:2]
+    assert widths == [2, 2]
+    assert estimate_total_success(replace(configs[0], parallelism=8)) == serial[0]
+    assert widths == [2, 2]
 
 
 def _mixed_sweep(workers):
-    """Configs of 600 and 700 requests (three blocks) with one radio and
-    fading law: fixed catalogues under both lifespan laws at differing
-    densities and mean lifespans, size laws in two orders, and two
-    configs whose window caps their discs (object 0's 57 m radius at
-    40 m, and the uniform law's 24-63 m radii at 20 m)."""
+    """Configs of 600 and 700 requests with one radio and fading law:
+    fixed catalogues under both lifespan laws at differing densities and
+    mean lifespans, size laws in two orders, and two configs whose window
+    caps their discs (object 0's 57 m radius at 40 m, and the uniform
+    law's 24-63 m radii at 20 m)."""
     uniform = UniformSize(0.05e9, 2e9)
     exponential = small_inputs(tau_mean=100.0)
     fixed = small_inputs(density=1e-3, tau_mean=100.0, lifespan=FixedLifespan)
@@ -285,7 +292,7 @@ def test_tuple_master_seeds_are_accepted():
 
 @pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, "7"], ids=["negative", "negative-entry", "float", "str"])
 def test_master_seed_must_be_nonnegative_integers(seed):
-    # numpy would only refuse it inside a block, without naming the field
+    # numpy would only refuse it inside the estimate, without naming the field
     with pytest.raises(ValueError, match="master_seed"):
         make_config(small_inputs(), iterations=10, seed=seed)
 

@@ -3,7 +3,8 @@
 For each numeric field of each model dataclass, each entry of an array
 input and each numeric INI key of a config file, any value is either
 rejected with ValueError
-(ConfigError for presets and config files) or was a finite int or float;
+(ConfigError for presets and config files) or was a finite int or float
+(which may still raise ArithmeticError, as a subnormal z underflows z/(W*tau));
 the integer preset fields must also be integers and at least their
 floors: catalogue_size 2, iterations, cache_capacity and parallelism 1,
 and seed 0.
@@ -13,6 +14,7 @@ False, which compare as 1 and 0, and the string "1".
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +136,8 @@ def test_dataclass_fields_accept_only_finite_values(name, key, value):
         build(**{**kwargs, key: value})
     except ValueError:
         return
+    except ArithmeticError:
+        pass  # a finite input whose result underflows (a subnormal z in lifespan_moment) raises with context
     assert _finite_number(value), f"{name}({key}={value!r}) was accepted"
 
 
@@ -234,25 +238,37 @@ def test_model_refuses_strings_naming_the_field():
         fading_moment(ExponentialFading(1.0), "4")
 
 
+UNDERFLOW = re.escape("z/(W*tau) underflows to 0 at z=5e-324, W*tau=50000000.0")
+
+
 @pytest.mark.parametrize(
-    "build,name",
+    "build,error,match",
     [
         # each used to be accepted: numpy read True, False and numeric strings in a list as floats
-        (lambda: PopularityLaw(F=2, a=np.array([1.5, -0.5])), "a"),
-        (lambda: ContentCatalogue(popularity=zipf_popularity(3, 1.0), sizes=[1e9, True, "2e9"]), "sizes"),
-        (lambda: PlacementPolicy(b=[False, 0.5], K=1), "b"),
-        (lambda: link_bits(RADIO, np.nan, 10.0, 1.0), "h"),
-        (lambda: link_bits(RADIO, ["1.0"], [10.0], [1.0]), "h"),
-        (lambda: sample_disc(True, 10.0, np.random.default_rng(0)), "intensity"),
-        (lambda: sample_disc("0.01", "10", np.random.default_rng(0)), "intensity"),
-        (lambda: lifespan_moment(FixedLifespan(10.0), True, 5e6, 4.0), "z"),
-        (lambda: lifespan_moment(FixedLifespan(10.0), ["1e6"], 5e6, 4.0), "z"),
+        (lambda: PopularityLaw(F=2, a=np.array([1.5, -0.5])), ValueError, "^a must be a finite number"),
+        (
+            lambda: ContentCatalogue(popularity=zipf_popularity(3, 1.0), sizes=[1e9, True, "2e9"]),
+            ValueError,
+            "^sizes must be a finite number",
+        ),
+        (lambda: PlacementPolicy(b=[False, 0.5], K=1), ValueError, "^b must be a finite number"),
+        (lambda: link_bits(RADIO, np.nan, 10.0, 1.0), ValueError, "^h must be a finite number"),
+        (lambda: link_bits(RADIO, ["1.0"], [10.0], [1.0]), ValueError, "^h must be a finite number"),
+        (lambda: sample_disc(True, 10.0, np.random.default_rng(0)), ValueError, "^intensity must be a finite number"),
+        (lambda: sample_disc("0.01", "10", np.random.default_rng(0)), ValueError, "^intensity must be a finite number"),
+        (lambda: lifespan_moment(FixedLifespan(10.0), True, 5e6, 4.0), ValueError, "^z must be a finite number"),
+        (lambda: lifespan_moment(FixedLifespan(10.0), ["1e6"], 5e6, 4.0), ValueError, "^z must be a finite number"),
+        # each used to return inf with a RuntimeWarning (fixed) or fail inside the quadrature (exponential)
+        (lambda: lifespan_moment(FixedLifespan(10.0), 5e-324, 5e6, 4.0), ArithmeticError, UNDERFLOW),
+        (lambda: lifespan_moment(ExponentialLifespan(10.0), [1e6, 5e-324], 5e6, 4.0), ArithmeticError, UNDERFLOW),
     ],
     ids=[
         "PopularityLaw-range", "ContentCatalogue-bool", "PlacementPolicy-bool", "link_bits-nan", "link_bits-string",
         "sample_disc-bool", "sample_disc-string", "lifespan_moment-bool", "lifespan_moment-string",
+        "lifespan_moment-underflow-fixed", "lifespan_moment-underflow-exponential",
     ],
 )
-def test_array_inputs_refuse_bad_entries_naming_the_input(build, name):
-    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_array_inputs_refuse_bad_entries_naming_the_input(build, error, match):
+    with pytest.raises(error, match=match):
         build()
