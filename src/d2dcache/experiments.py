@@ -12,6 +12,7 @@ Default experiment constants (all presets start from these):
     BANDWIDTH                 5e6        per-link bandwidth, Hz
     PATHLOSS_EXPONENT         4.0        power-law path loss exponent
     CATALOGUE_SIZE            100        objects (200 for ordered_comparison)
+    CATALOGUE_SIZE_LIMIT      10**6      largest catalogue_size a preset takes
     ZIPF_EXPONENT             0.78       popularity skew
     CACHE_CAPACITY            5          objects per transmitter cache
     ITERATIONS                2000       Monte Carlo iterations per point
@@ -100,6 +101,7 @@ NOISE_DENSITY = 1e-11
 BANDWIDTH = 5e6
 PATHLOSS_EXPONENT = 4.0
 CATALOGUE_SIZE = 100
+CATALOGUE_SIZE_LIMIT = 10**6
 ZIPF_EXPONENT = 0.78
 CACHE_CAPACITY = 5
 ITERATIONS = 2000
@@ -184,6 +186,7 @@ class ExperimentPreset:
             for name, floor in floors:
                 check_integer(name, getattr(self, name), floor)
             # the popularity law and the placement hold catalogue_size floats each: checked, not built
+            check_real("catalogue_size", self.catalogue_size, 2, CATALOGUE_SIZE_LIMIT, "[]")
             check_real("zipf_exponent", self.zipf_exponent, 0, math.inf, "[)")
             check_real("cache_capacity", self.cache_capacity, 0, self.catalogue_size / 2, "(]")
             # the other fields are valid when the model built from them is

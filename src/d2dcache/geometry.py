@@ -35,7 +35,8 @@ def sample_disc(intensity, radius, rng: np.random.Generator):
     """
     intensity = np.atleast_1d(check_reals("intensity", intensity, 0, math.inf, "[)"))
     intensity, radius = np.broadcast_arrays(intensity, check_reals("radius", radius, 0, math.inf, "[)"))
-    mean = intensity * math.pi * np.where(intensity > 0, radius, 0.0) ** 2
+    with np.errstate(over="ignore"):  # a mean past the float range is inf, refused below
+        mean = intensity * math.pi * np.where(intensity > 0, radius, 0.0) ** 2
     try:
         counts = rng.poisson(mean)
     except ValueError:

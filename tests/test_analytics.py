@@ -161,15 +161,23 @@ def _quad_oracle(x0, alpha):
     return math.fsum(v for v, _ in pieces), math.fsum(e for _, e in pieces)
 
 
-@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0])
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0])
 def test_exponential_kernel_against_quad_oracle(alpha):
     x0 = np.logspace(-6.0, 2.0, 17)
     values, estimates = _exponential_moment(x0, alpha)
     for x, got, estimate in zip(x0, values, estimates):
         want, oracle_err = _quad_oracle(float(x), alpha)
         assert got == pytest.approx(want, rel=1e-9), x
-        # the half-panel estimate bounds the error, up to the oracle's own
+        # the every-other-node estimate bounds the error, up to the oracle's own
         assert abs(got - want) <= estimate + oracle_err, x
+
+
+@pytest.mark.parametrize("alpha", [2.01, 2.5, 4.0, 8.0, 12.0, 20.0, 50.0])
+def test_exponential_kernel_holds_over_every_argument(alpha):
+    # from x0 = 1e-300, where I_T reaches about 1e298 at alpha = 2.01, to the underflow cutoff
+    x0 = np.logspace(-300.0, math.log10(1024.0), 4001)[:-1]
+    values, _ = _exponential_moment(x0, alpha)
+    assert np.all(np.isfinite(values)) and np.all(values > 0.0)
 
 
 def test_exponential_kernel_array_matches_scalar():

@@ -96,6 +96,9 @@ def test_preset_validation_errors():
     # a float catalogue size used to build and then fail inside run_preset
     with pytest.raises(ConfigError, match="catalogue_size must be an integer"):
         build_preset("validate_audio", catalogue_size=20.5)
+    # one past the limit used to build, and run_preset then allocated by it
+    with pytest.raises(ConfigError, match=r"catalogue_size must be a finite number in \[2, 1000000\]"):
+        build_preset("validate_audio", catalogue_size=10**6 + 1)
 
 
 def test_preset_validation_allocates_nothing_per_object():
@@ -104,7 +107,7 @@ def test_preset_validation_allocates_nothing_per_object():
     # not allocate by a count it has yet to bound
     tracemalloc.start()
     try:
-        build_preset("validate_audio", catalogue_size=10_000_000, cache_capacity=5)
+        build_preset("validate_audio", catalogue_size=10**6, cache_capacity=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -42,6 +42,7 @@ def test_zero_density_gives_empty_field():
     assert not np.any(mixed[0] == 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_negative_or_nonfinite_density_rejected():
     for bad in (-1e-3, float("nan"), float("inf"), True, "1"):
         with pytest.raises(ValueError):
@@ -51,6 +52,9 @@ def test_negative_or_nonfinite_density_rejected():
     # a finite mean count too large for numpy's Poisson sampler names both inputs
     with pytest.raises(ValueError, match=r"^intensity=0\.001 and radius=1e\+100 give too many points"):
         sample_disc([1e-3, 1e-3], [10.0, 1e100], rng_for(1))
+    # and so does one past the float range, without an overflow warning
+    with pytest.raises(ValueError, match=r"^intensity=0\.001 and radius=1e\+200 give too many points to draw"):
+        sample_disc(1e-3, 1e200, rng_for(1))
 
 
 def test_mean_count_matches_intensity_on_reference_window():
