@@ -36,7 +36,9 @@ def sample_disc(intensity, radius, rng: np.random.Generator):
     intensity = np.atleast_1d(check_reals("intensity", intensity, 0, math.inf, "[)"))
     intensity, radius = np.broadcast_arrays(intensity, check_reals("radius", radius, 0, math.inf, "[)"))
     with np.errstate(over="ignore"):  # a mean past the float range is inf, refused below
-        mean = intensity * math.pi * np.where(intensity > 0, radius, 0.0) ** 2
+        r = np.where(intensity > 0, radius, 0.0)
+        # where r^2 overflows, a tiny intensity can still give a finite mean, taken left to right
+        mean = np.where(np.isinf(r**2), intensity * math.pi * r * r, intensity * math.pi * r**2)
     try:
         counts = rng.poisson(mean)
     except ValueError:

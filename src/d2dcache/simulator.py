@@ -28,11 +28,13 @@ scipy and no closed form go into R: the Monte Carlo reads nothing it checks.
 Reproducibility contract: each configuration draws only from the stream
 SeedSequence(master_seed), in this order: the requested ranks, the
 requested sizes (none for a fixed catalogue), the transmitter counts,
-their distances, their fading, their lifespans. The radii come between
-the sizes and the counts: one search over the configuration's cached
-requests under a size law, and one over the cached objects of all the
-sweep's fixed-catalogue configurations that share a radio, fading law
-and lifespan law. Every radius depends on its own row alone, so
+their distances, their fading, their lifespans. An estimate runs in
+three phases: every configuration of the sweep draws its ranks and
+sizes before any radius search; then the searches run, one over each
+size-law configuration's cached requests and one over the cached objects
+of all the sweep's fixed-catalogue configurations that share a radio,
+fading law and lifespan law; then each configuration draws its fields.
+Every radius depends on its own row alone, so
 estimates are bit-identical whatever else shares the sweep, and for any
 parallelism, which maps a sweep's configurations over one process pool
 as wide as the largest parallelism among them, but no wider than their
@@ -173,36 +175,6 @@ def _radii(inputs: AnalyticInputs, z, b, density, tau, half_width):
     return np.where(capped, cap, np.exp(hi)), np.where(capped, at_cap, 0.0)
 
 
-def _catalogue_radii(configs) -> dict:
-    """Per fixed-catalogue config, by index: each object's radius (0 when
-    uncached) and the largest truncation bound of a capped one. Configs
-    that share a radio, a fading law and a lifespan law take one search
-    over all their cached objects."""
-    groups = {}
-    for i, config in enumerate(configs):
-        x = config.inputs
-        if config.size_law is None:
-            groups.setdefault((x.radio, x.fading, type(x.lifespan)), []).append(i)
-    found = {}
-    for members in groups.values():
-        objects, rows = [], []
-        for i in members:
-            x = configs[i].inputs
-            objects.append(o := np.flatnonzero(x.policy.b > 0))
-            rows.append(
-                np.broadcast_arrays(
-                    x.catalogue.sizes[o], x.policy.b[o], x.density, x.lifespan.mean, configs[i].window.half_width
-                )
-            )
-        radius, capped = _radii(configs[members[0]].inputs, *np.concatenate(rows, axis=1))
-        splits = np.cumsum([o.size for o in objects])[:-1]
-        for i, o, r, c in zip(members, objects, np.split(radius, splits), np.split(capped, splits)):
-            radii = np.zeros(configs[i].inputs.catalogue.F)
-            radii[o] = r
-            found[i] = radii, float(c.max(initial=0.0))
-    return found
-
-
 def _request_sizes(config: SimulationConfig, rng: np.random.Generator, j: np.ndarray) -> np.ndarray:
     """The requested objects' sizes; a size law draws one uniform per request,
     or rank j's order statistic of F uniforms when sizes are sorted."""
@@ -222,8 +194,40 @@ def _draw_requests(config: SimulationConfig):
     return rng, j, _request_sizes(config, rng, j)
 
 
+def _sweep_radii(configs, drawn) -> list:
+    """Phase 2: per config, each request's radius (0 when uncached) and the
+    largest truncation bound of a capped one. A size-law config takes one
+    search over its cached requests; the fixed-catalogue configs that share
+    a radio, a fading law and a lifespan law take one over all their cached
+    objects, broadcast and concatenated."""
+    groups = {}
+    for i, config in enumerate(configs):
+        x = config.inputs
+        key = (x.radio, x.fading, type(x.lifespan)) if config.size_law is None else i
+        groups.setdefault(key, []).append(i)
+    found = [None] * len(configs)
+    for members in groups.values():
+        searches, picks = [], []
+        for i in members:
+            # a search's rows are the config's objects, whose radii its requests look up, or its requests
+            config, (_, j, z) = configs[i], drawn[i]
+            x = config.inputs
+            sizes, b, pick = (x.catalogue.sizes, x.policy.b, j) if config.size_law is None else (z, x.policy.b[j], ...)
+            rows = np.flatnonzero(b > 0)
+            searches.append((sizes[rows], b[rows], x.density, x.lifespan.mean, config.window.half_width))
+            picks.append((rows, np.zeros(b.size), pick))
+        if len(searches) > 1:
+            searches = [np.concatenate([np.broadcast_arrays(*search) for search in searches], axis=1)]
+        radius, capped = _radii(configs[members[0]].inputs, *searches[0])
+        splits = np.cumsum([rows.size for rows, _, _ in picks])[:-1]
+        for i, (rows, full, pick), r, c in zip(members, picks, np.split(radius, splits), np.split(capped, splits)):
+            full[rows] = r
+            found[i] = full[pick], float(c.max(initial=0.0))
+    return found
+
+
 def _sample_requests(task):
-    """Phase 2 of a config (inputs, rng, j, z, r_max): whether each request
+    """Phase 3 of a config (inputs, rng, j, z, r_max): whether each request
     is served by the field drawn on its disc of radius r_max."""
     inputs, rng, j, z, r_max = task
     owner, r = sample_disc(inputs.density * inputs.policy.b[j], r_max, rng)
@@ -236,38 +240,23 @@ def _sample_requests(task):
 def _estimate(configs: list) -> list:
     """The estimate of each config, warning (at the public caller's line)
     once for each config whose window caps a disc."""
-    catalogue = _catalogue_radii(configs)
-
-    def tasks():
-        # built lazily, so that a serial run holds one config's draws at a time
-        for i, config in enumerate(configs):
-            x, (rng, j, z) = config.inputs, _draw_requests(config)
-            if config.size_law is None:
-                radii, worst = catalogue[i]
-                r_max = radii[j]
-            else:
-                cached = x.policy.b[j] > 0
-                r_max = np.zeros(j.size)
-                r_max[cached], capped = _radii(
-                    x, z[cached], x.policy.b[j[cached]], x.density, x.lifespan.mean, config.window.half_width
-                )
-                worst = float(capped.max(initial=0.0))
-            if worst > TRUNCATION_BOUND:
-                # the stack is this generator, _estimate (which drives it), the public function and its caller
-                warnings.warn(
-                    f"window half-width {config.window.half_width:g} m caps the simulation disc below its computed "
-                    f"radius: truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
-                    stacklevel=4,
-                )
-            yield x, rng, j, z, r_max
-
+    drawn = [_draw_requests(config) for config in configs]
+    radii = _sweep_radii(configs, drawn)
+    for config, (_, worst) in zip(configs, radii):
+        if worst > TRUNCATION_BOUND:
+            warnings.warn(
+                f"window half-width {config.window.half_width:g} m caps the simulation disc below its computed "
+                f"radius: truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
+                stacklevel=3,
+            )
+    tasks = [(c.inputs, *requests, r_max) for c, requests, (r_max, _) in zip(configs, drawn, radii)]
     workers = min(max((config.parallelism for config in configs), default=1), len(configs))
     if workers <= 1:
-        served = map(_sample_requests, tasks())
+        served = map(_sample_requests, tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            served = list(pool.map(_sample_requests, list(tasks()), chunksize=-(-len(configs) // workers)))
+            served = list(pool.map(_sample_requests, tasks, chunksize=-(-len(configs) // workers)))
     estimates = []
     for success in served:
         p = float(success.mean())
@@ -276,9 +265,10 @@ def _estimate(configs: list) -> list:
 
 
 def estimate_sweep(configs) -> list[MetricEstimate]:
-    """estimate_total_success of each config, in order and bit for bit, with
-    one radius search per config under a size law and one for the fixed
-    catalogues of all configs that share a radio, fading law and lifespan law."""
+    """estimate_total_success of each config, in order and bit for bit. Every
+    config's requests are drawn first; then come one radius search per config
+    under a size law and one for the fixed catalogues of all configs that
+    share a radio, fading law and lifespan law; then every config's fields."""
     return _estimate(list(configs))
 
 

@@ -2,9 +2,13 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -518,6 +522,16 @@ def test_cli_list_presets(capsys):
     out = capsys.readouterr().out
     for name in PRESET_NAMES + ("custom",):
         assert name in out
+
+
+def test_module_execution_runs_the_cli():
+    # python -m d2dcache from a source tree, with runpy's warnings raised as errors
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "d2dcache", "list-presets"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] == list(PRESET_NAMES + ("custom",))
 
 
 def test_cli_validate_config(tmp_path, capsys):

@@ -57,6 +57,15 @@ def test_negative_or_nonfinite_density_rejected():
         sample_disc(1e-3, 1e200, rng_for(1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_intensity_on_a_disc_whose_square_overflows():
+    # radius^2 overflows at 1e155 m, but intensity * pi * radius * radius is about 3.14
+    owner, distance = sample_disc(np.full(1000, 1e-310), 1e155, rng_for(8))
+    assert owner.size > 0 and np.all((distance > 0) & (distance <= 1e155))
+    expected = 1e-310 * math.pi * 1e155 * 1e155
+    assert abs(owner.size / 1000 - expected) < 4 * math.sqrt(expected / 1000)
+
+
 def test_mean_count_matches_intensity_on_reference_window():
     # a disc of radius 20 km at 2.5e-3 per m^2: about 3.1e6 points per field
     radius = 20_000.0

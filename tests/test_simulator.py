@@ -43,12 +43,12 @@ from d2dcache.simulator import (
     _BISECTIONS,
     TRUNCATION_BOUND,
     _campbell_terms,
-    _catalogue_radii,
     _draw_requests,
     _qualifier_bounds,
     _radii,
     _request_sizes,
     _sample_requests,
+    _sweep_radii,
 )
 
 from conftest import single_object
@@ -170,19 +170,19 @@ def test_config_validation():
 # ---------------------------------------------------------- reproducibility
 
 
-def _outcomes(config, radii):
-    """Outcome of each request, both phases, with per-object radii."""
-    rng, j, z = _draw_requests(config)
-    return _sample_requests((config.inputs, rng, j, z, radii[j]))
+def _outcomes(config):
+    """Outcome of each request, all three phases."""
+    drawn = _draw_requests(config)
+    [(r_max, _)] = _sweep_radii([config], [drawn])
+    return _sample_requests((config.inputs, *drawn, r_max))
 
 
 def test_same_seed_reproduces_every_outcome():
     config = make_config(small_inputs(), iterations=768, seed=42)
-    per_object, _ = _catalogue_radii([config])[0]
-    first = _outcomes(config, per_object)
+    first = _outcomes(config)
     assert first.size == 768
-    assert np.array_equal(first, _outcomes(config, per_object))
-    assert not np.array_equal(first, _outcomes(replace(config, master_seed=43), per_object))
+    assert np.array_equal(first, _outcomes(config))
+    assert not np.array_equal(first, _outcomes(replace(config, master_seed=43)))
 
 
 def test_parallelism_does_not_change_the_estimate():
