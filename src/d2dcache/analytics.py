@@ -53,9 +53,6 @@ from .mobility import ExponentialLifespan, FixedLifespan, LifespanLaw
 from .placement import PlacementPolicy
 
 _LN2 = math.log(2.0)
-# Beyond this value of z/(W*tau) the power (2^x - 1)^(-2/alpha) underflows
-# for every alpha of interest; treated as exactly zero.
-_X_CUTOFF = 1024.0
 # Largest relative error estimate accepted from the exponential-lifespan rule.
 _MOMENT_RTOL = 1e-8
 # Nodes of the exponential-lifespan trapezoid rule: odd, so that every other
@@ -116,10 +113,9 @@ def _log_threshold_power(x, q: float):
 
 
 def _threshold_power(x, alpha: float):
-    """(2^x - 1)^(-2/alpha) for x in (0, inf), zero beyond the cutoff."""
+    """(2^x - 1)^(-2/alpha) for x in (0, inf]; 0 only where it underflows."""
     with np.errstate(over="ignore"):
-        out = np.exp(_log_threshold_power(x, 2.0 / alpha))
-    return np.where(x > _X_CUTOFF, 0.0, out)
+        return np.exp(_log_threshold_power(x, 2.0 / alpha))
 
 
 def _moment_argument(z, tau: float, bandwidth: float, alpha: float) -> np.ndarray:
@@ -198,11 +194,12 @@ def lifespan_moment_exponential(z: float, tau: float, bandwidth: float, alpha: f
 def lifespan_moment(law: LifespanLaw, z, bandwidth: float, alpha: float):
     """I_T under either lifespan law; z may be an array of any shape.
 
-    Under a fixed lifespan tau it is (2^(z/(W*tau)) - 1)^(-2/alpha), 0 once
-    z/(W*tau) exceeds the underflow cutoff; under an exponential one, the
-    rule of the module docstring, which raises ArithmeticError when its
-    error estimate exceeds 1e-8 relative. Raises ValueError unless z, the
-    mean lifespan, bandwidth and alpha are all finite and positive.
+    Under a fixed lifespan tau it is (2^(z/(W*tau)) - 1)^(-2/alpha), 0 only
+    where that underflows (at z/(W*tau) = 2000 and alpha = 4 it is still
+    2^-1000); under an exponential one, the rule of the module docstring,
+    which raises ArithmeticError when its error estimate exceeds 1e-8
+    relative. Raises ValueError unless z, the mean lifespan, bandwidth and
+    alpha are all finite and positive.
     """
     if isinstance(law, FixedLifespan):
         values = _threshold_power(_moment_argument(z, law.mean, bandwidth, alpha), alpha)
@@ -257,7 +254,7 @@ class SizeRule:
     weights: np.ndarray
 
 
-def size_rule(inputs: AnalyticInputs, size_law: SizeLaw, order: str) -> SizeRule:
+def size_rule(policy: PlacementPolicy, size_law: SizeLaw, order: str) -> SizeRule:
     """The trapezoid rule in logit(u) over each cached object's marginal size law.
 
     The nodes are size_law.inverse_cdf(expit(L)) at L = n h on
@@ -272,8 +269,8 @@ def size_rule(inputs: AnalyticInputs, size_law: SizeLaw, order: str) -> SizeRule
     cached objects under an ordering. The rule depends only on F and the
     placement, so one rule serves every density and lifespan.
     """
-    F = inputs.catalogue.F
-    k = order_statistic(order, np.flatnonzero(inputs.policy.b > 0), F)
+    F = policy.b.size
+    k = order_statistic(order, np.flatnonzero(policy.b > 0), F)
     if k is None:
         k = m = np.ones((1, 1))
     else:
@@ -337,7 +334,7 @@ def expected_success(
     if (mc_samples is None) != (rng is None):
         raise ValueError("mc_samples and rng are given together or not at all")
     if mc_samples is None:
-        return evaluate_expected_success(inputs, size_rule(inputs, size_law, order))
+        return evaluate_expected_success(inputs, size_rule(inputs.policy, size_law, order))
     check_integer("mc_samples", mc_samples, 1000)
     if order == "independent":
         sizes = np.asarray(size_law.inverse_cdf(rng.random(mc_samples)), dtype=float)[None, :]

@@ -209,9 +209,10 @@ class ExperimentPreset:
 
 @dataclass(slots=True)
 class ResultRow:
-    """One (sweep point, variant) result; its fields and stderr are CSV_COLUMNS.
+    """One (sweep point, variant) result; its fields are CSV_COLUMNS.
 
-    n_iter is the number of simulated requests behind simulated.
+    stderr is the simulator's standard error of simulated, and n_iter the
+    number of simulated requests behind it.
     """
 
     sweep_name: str
@@ -219,17 +220,14 @@ class ResultRow:
     variant: str
     analytic: float
     simulated: float
+    stderr: float
     n_iter: int
     seed: int
 
     def __post_init__(self):
         check_real("analytic", self.analytic, 0, 1, "[]")
         check_real("simulated", self.simulated, 0, 1, "[]")
-
-    @property
-    def stderr(self) -> float:
-        """Binomial standard error of simulated, sqrt(p (1 - p) / n_iter), as the simulator reports it."""
-        return math.sqrt(self.simulated * (1.0 - self.simulated) / self.n_iter)
+        check_real("stderr", self.stderr, 0, math.inf, "[)")
 
 
 def _builtin_presets() -> dict:
@@ -373,41 +371,34 @@ def _at_point(sweep_name, value, variant):
     return _annotated(f"at {sweep_name}={value}, variant={variant!r}")
 
 
-def _points(preset: ExperimentPreset) -> list:
-    """Every sweep point in row order: (sweep index, point index, sweep name, value, density, tau)."""
-    return [
-        (
-            s_idx,
-            p_idx,
-            sweep_name,
-            value,
-            value if sweep_name == "density" else preset.density,
-            value if sweep_name == "tau_mean" else preset.fixed_lifespan,
-        )
-        for s_idx, (sweep_name, grid) in enumerate(preset.sweeps)
-        for p_idx, value in enumerate(grid)
-    ]
-
-
-def _variants(preset: ExperimentPreset, popularity) -> list:
-    """Per variant: (name, catalogue before ordering, ordering, size law or None).
+def _variants(preset: ExperimentPreset, popularity, policy) -> list:
+    """The variant table: per variant, (name, catalogue ordered per its
+    ordering, ordering, size law or None, size rule or None).
 
     Comparison variants name a size law that the simulator redraws every
-    iteration; their catalogue is a placeholder at the law's mean size.
-    Validate and correlation variants share one exponential catalogue from
-    the (seed, 1) stream, and a correlation variant names its ordering.
+    iteration, and the size rule that every point's closed form evaluates;
+    their catalogue is a placeholder at the law's mean size. Validate and
+    correlation variants share one exponential size sample from the
+    (seed, 1) stream, and a correlation variant names its ordering.
     """
     F = preset.catalogue_size
     if preset.kind == "comparison":
-        laws = [(v, COMPARISON_SIZE_LAWS[v]) for v in preset.variants]
-        return [
-            (v, ContentCatalogue(popularity=popularity, sizes=np.full(F, mean_size(law))), preset.reorder, law)
-            for v, law in laws
-        ]
+        table = []
+        for variant in preset.variants:
+            law = COMPARISON_SIZE_LAWS[variant]
+            with _annotated(f"building the size rule for variant={variant!r}"):
+                rule = size_rule(policy, law, preset.reorder)
+            catalogue = ContentCatalogue(popularity=popularity, sizes=np.full(F, mean_size(law)))
+            table.append((variant, catalogue, preset.reorder, law, rule))
+        return table
     rng = np.random.default_rng(np.random.SeedSequence((preset.seed, 1)))
     sizes = sample_sizes(ExponentialSize(1.0 / preset.size_mean_bits), F, rng)
-    base = ContentCatalogue(popularity=popularity, sizes=sizes)
-    return [(v, base, v if preset.kind == "correlation" else preset.reorder, None) for v in preset.variants]
+    table = []
+    for variant in preset.variants:
+        order = variant if preset.kind == "correlation" else preset.reorder
+        catalogue = ContentCatalogue(popularity=popularity, sizes=order_sizes(sizes, order))
+        table.append((variant, catalogue, order, None, None))
+    return table
 
 
 def _wilson_interval(p_hat: float, n: int, z: float) -> tuple:
@@ -444,9 +435,9 @@ def run_preset(preset: ExperimentPreset) -> list:
     Every simulation disc takes the simulator's computed radius, capped at
     the preset's window_half_width (WINDOW_HALF_WIDTH unless overridden);
     the simulator warns, with the truncation bias bound, for each point
-    where the cap binds. Every point's closed form is evaluated first; one
-    estimate_sweep call then simulates all the points, so they share the
-    simulator's radius searches.
+    where the cap binds. One pass over the points evaluates each closed
+    form and builds its simulation configuration; one estimate_sweep call
+    then simulates them all, so they share the simulator's radius searches.
 
     Logs a warning for each row, in row order, whose analytic value lies
     outside the Wilson score interval at 4 standard errors around the
@@ -456,41 +447,26 @@ def run_preset(preset: ExperimentPreset) -> list:
     popularity = zipf_popularity(preset.catalogue_size, preset.zipf_exponent)
     policy = popularity_weighted_marginals(popularity, preset.cache_capacity)
     lifespan_law = FixedLifespan if preset.kind == "comparison" else ExponentialLifespan
-    points = _points(preset)
-    variants = _variants(preset, popularity)
+    variants = _variants(preset, popularity, policy)
 
-    def inputs_at(density, tau, catalogue):
-        return AnalyticInputs(
-            density=density,
-            radio=radio,
-            fading=ExponentialFading(1.0),
-            lifespan=lifespan_law(tau),
-            policy=policy,
-            catalogue=catalogue,
-        )
-
-    longest = max(point[-1] for point in points)
-    # one size rule per comparison variant, shared by all its points
-    rules = []
-    for variant, base, order, law in variants:
-        with _annotated(f"building the size rule for variant={variant!r}"):
-            rules.append(None if law is None else size_rule(inputs_at(preset.density, longest, base), law, order))
-    catalogues = [replace(base, sizes=order_sizes(base.sizes, order)) for _, base, order, _ in variants]
-
-    evaluated, configs = [], []
-    for s_idx, p_idx, sweep_name, value, density, tau in points:
-        for v_idx, ((variant, _, order, law), catalogue, rule) in enumerate(zip(variants, catalogues, rules)):
-            with _at_point(sweep_name, value, variant):
-                inputs = inputs_at(density, tau, catalogue)
-                if law is None:
-                    analytic = total_success(inputs)
-                else:
-                    analytic = evaluate_expected_success(inputs, rule)
-                # correlation variants share one stream per sweep point, so
-                # their curves are coupled through a common request sequence
-                key = (s_idx, p_idx) if preset.kind == "correlation" else (s_idx, p_idx, v_idx)
-                configs.append(
-                    SimulationConfig(
+    pending = []  # (simulation config, the row's other fields), in row order
+    for s_idx, (sweep_name, grid) in enumerate(preset.sweeps):
+        for p_idx, value in enumerate(grid):
+            for v_idx, (variant, catalogue, order, law, rule) in enumerate(variants):
+                with _at_point(sweep_name, value, variant):
+                    inputs = AnalyticInputs(
+                        density=value if sweep_name == "density" else preset.density,
+                        radio=radio,
+                        fading=ExponentialFading(1.0),
+                        lifespan=lifespan_law(value if sweep_name == "tau_mean" else preset.fixed_lifespan),
+                        policy=policy,
+                        catalogue=catalogue,
+                    )
+                    analytic = total_success(inputs) if rule is None else evaluate_expected_success(inputs, rule)
+                    # correlation variants share one stream per sweep point, so
+                    # their curves are coupled through a common request sequence
+                    key = (s_idx, p_idx) if preset.kind == "correlation" else (s_idx, p_idx, v_idx)
+                    config = SimulationConfig(
                         inputs=inputs,
                         window=Window(preset.window_half_width),
                         iterations=preset.iterations,
@@ -499,20 +475,18 @@ def run_preset(preset: ExperimentPreset) -> list:
                         size_law=law,
                         reorder=order,
                     )
-                )
-            evaluated.append((sweep_name, value, variant, analytic))
+                fields = dict(sweep_name=sweep_name, sweep_value=float(value), variant=variant, analytic=analytic.value)
+                pending.append((config, fields))
     with _annotated(f"simulating preset {preset.name!r}"):
-        estimates = estimate_sweep(configs)
+        estimates = estimate_sweep(config for config, _ in pending)
 
     rows = []
-    for (sweep_name, value, variant, analytic), sim in zip(evaluated, estimates):
+    for (_, fields), sim in zip(pending, estimates):
         rows.append(
             ResultRow(
-                sweep_name=sweep_name,
-                sweep_value=float(value),
-                variant=variant,
-                analytic=analytic.value,
+                **fields,
                 simulated=sim.value,
+                stderr=sim.standard_error,
                 n_iter=sim.sample_count,
                 seed=preset.seed,
             )
@@ -607,6 +581,3 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

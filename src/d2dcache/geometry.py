@@ -37,8 +37,8 @@ def sample_disc(intensity, radius, rng: np.random.Generator):
     intensity, radius = np.broadcast_arrays(intensity, check_reals("radius", radius, 0, math.inf, "[)"))
     with np.errstate(over="ignore"):  # a mean past the float range is inf, refused below
         r = np.where(intensity > 0, radius, 0.0)
-        # where r^2 overflows, a tiny intensity can still give a finite mean, taken left to right
-        mean = np.where(np.isinf(r**2), intensity * math.pi * r * r, intensity * math.pi * r**2)
+        # left to right, so that a tiny intensity scales r before r^2 overflows
+        mean = intensity * math.pi * r * r
     try:
         counts = rng.poisson(mean)
     except ValueError:

@@ -97,14 +97,15 @@ def test_fixed_moment_unit_threshold():
     assert fixed_moment(W * 100.0, 100.0, W, 3.0) == 1.0
 
 
-def test_fixed_moment_underflows_to_zero_for_huge_files():
-    assert fixed_moment(2000.0 * W * 100.0, 100.0, W, 4.0) == 0.0
+def test_fixed_moment_has_no_cutoff_for_huge_files():
+    # no cutoff: at x = 2000 and alpha = 4 the moment is 2^-1000, not 0
+    assert fixed_moment(2000.0 * W * 100.0, 100.0, W, 4.0) == pytest.approx(2.0**-1000, rel=1e-12)
 
 
 def test_fixed_moment_accepts_arrays():
     z = np.array([0.2, 1.0, 2000.0]) * W * 100.0
     out = fixed_moment(z, 100.0, W, 4.0)
-    np.testing.assert_allclose(out, [(2.0 ** 0.2 - 1.0) ** -0.5, 1.0, 0.0], rtol=1e-12)
+    np.testing.assert_allclose(out, [(2.0 ** 0.2 - 1.0) ** -0.5, 1.0, 2.0**-1000], rtol=1e-12)
 
 
 def test_moment_rejects_nonpositive_inputs():
@@ -539,7 +540,7 @@ def test_size_rule_converged_at_its_step(monkeypatch, law, order, lifespan):
         coarse = expected_success(inputs, size_law, order=order).value
         with monkeypatch.context() as patch:
             patch.setattr(analytics, "_LOGIT_STEP", 1.0 / 32.0)
-            fine_rule = size_rule(inputs, size_law, order)
+            fine_rule = size_rule(inputs.policy, size_law, order)
             fine = evaluate_expected_success(inputs, fine_rule).value
         assert fine_rule.sizes.size == 2305
         assert abs(coarse - fine) <= 1e-12, (density, coarse, fine)
@@ -553,7 +554,7 @@ def test_size_rule_narrows_its_step_for_large_ordered_caches(monkeypatch, law, o
     # step 1/8 would not resolve it, so the step halves to 1/16
     inputs = make_inputs(F=200, K=50, lifespan=FixedLifespan(RULE_TAU))
     size_law = COMPARISON_SIZE_LAWS[law]
-    rule = size_rule(inputs, size_law, order)
+    rule = size_rule(inputs.policy, size_law, order)
     assert rule.sizes.size == 1153 and rule.weights.shape == (100, 1153)
     value = evaluate_expected_success(inputs, rule).value
     with monkeypatch.context() as patch:
@@ -579,15 +580,15 @@ def test_size_rule_raises_when_error_estimate_exceeds_tolerance(monkeypatch):
 def test_size_rule_shapes():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
     law = UniformSize(5e7, 2e9)
-    assert size_rule(inputs, law, "independent").weights.shape == (1, 577)
-    assert size_rule(inputs, law, "decreasing").weights.shape == (10, 577)
+    assert size_rule(inputs.policy, law, "independent").weights.shape == (1, 577)
+    assert size_rule(inputs.policy, law, "decreasing").weights.shape == (10, 577)
     with pytest.raises(ValueError, match="ordering"):
-        size_rule(inputs, law, "shuffled")
+        size_rule(inputs.policy, law, "shuffled")
 
 
 def test_evaluation_rejects_rule_of_another_shape():
     inputs = make_inputs(lifespan=FixedLifespan(1000.0))
-    rule = size_rule(inputs, UniformSize(5e7, 2e9), "independent")
+    rule = size_rule(inputs.policy, UniformSize(5e7, 2e9), "independent")
     with pytest.raises(ValueError, match="cached objects"):
         evaluate_expected_success(inputs, SizeRule(rule.law, "decreasing", rule.sizes, np.ones((3, 577))))
 

@@ -223,6 +223,7 @@ def rows_fixture():
             variant="audio",
             analytic=0.38591324159218864,
             simulated=0.39,
+            stderr=math.sqrt(0.39 * 0.61 / 2000),
             n_iter=2000,
             seed=0,
         )
@@ -327,6 +328,18 @@ def test_soft_gate_warns_on_large_deviation(monkeypatch, caplog):
         rows = run_preset(tiny_validate_preset())
     assert len(rows) == 1
     assert any("standard errors from analytic" in rec.message for rec in caplog.records)
+
+
+def test_rows_carry_the_simulators_standard_error(monkeypatch):
+    _stub_simulator(monkeypatch, lambda config: MetricEstimate(value=0.5, standard_error=0.123, sample_count=10))
+    rows = run_preset(tiny_validate_preset())
+    assert [row.stderr for row in rows] == [0.123]
+
+
+def test_row_rejects_a_bad_standard_error():
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="stderr"):
+            replace(rows_fixture()[0], stderr=bad)
 
 
 def _flagged(monkeypatch, caplog, analytic, simulated, iterations):

@@ -571,7 +571,7 @@ def test_request_sizes_and_size_rule_give_each_rank_one_marginal(mode):
     inputs = small_inputs(F=200, K=5)
     law = UniformSize(0.05e9, 2e9)
     config = make_config(inputs, iterations=10, size_law=law, reorder=mode)
-    rule = size_rule(inputs, law, mode)
+    rule = size_rule(inputs.policy, law, mode)
     for j in (0, 5, 9):
         rng = np.random.default_rng(np.random.SeedSequence((97, ORDERING_MODES.index(mode), j)))
         z = _request_sizes(config, rng, np.full(20_000, j))
