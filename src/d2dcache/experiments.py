@@ -141,7 +141,11 @@ def _radio(preset: ExperimentPreset) -> RadioParams:
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """A fully resolved experiment: sweeps, variants and model parameters."""
+    """A fully resolved experiment: sweeps, variants and model parameters.
+
+    Each sweep varies tau_mean or density. parallelism is validated but
+    selects nothing: the simulator runs serially.
+    """
 
     name: str
     kind: str  # validate | correlation | comparison
@@ -174,6 +178,9 @@ class ExperimentPreset:
             raise ConfigError(f"{self.kind} variants must come from {detail}")
         if not self.sweeps or not all(len(grid) for _, grid in self.sweeps):
             raise ConfigError(f"preset needs at least one sweep, each with a nonempty grid, got {self.sweeps}")
+        for sweep_name, _ in self.sweeps:
+            if sweep_name not in ("tau_mean", "density"):
+                raise ConfigError(f"unknown sweep {sweep_name!r}; expected tau_mean or density")
         if self.out_format not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output format {self.out_format!r}")
         try:
@@ -285,7 +292,6 @@ PRESET_SUMMARIES = {
 _OVERRIDE_TYPES = {
     "iterations": int,
     "seed": int,
-    "parallelism": int,
     "window_half_width": float,
     "density": float,
     "power": float,
@@ -301,7 +307,7 @@ _OVERRIDE_TYPES = {
     "format": str,
 }
 # config keys that are also run flags; a flag given beats the file's key
-_CLI_KEYS = ("seed", "iterations", "parallelism", "out", "format")
+_CLI_KEYS = ("seed", "iterations", "out", "format")
 
 
 def build_preset(name: str, **overrides) -> ExperimentPreset:
@@ -471,7 +477,6 @@ def run_preset(preset: ExperimentPreset) -> list:
                         window=Window(preset.window_half_width),
                         iterations=preset.iterations,
                         master_seed=(preset.seed, 3, *key),
-                        parallelism=preset.parallelism,
                         size_law=law,
                         reorder=order,
                     )

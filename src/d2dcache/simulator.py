@@ -35,10 +35,7 @@ size-law configuration's cached requests and one over the cached objects
 of all the sweep's fixed-catalogue configurations that share a radio,
 fading law and lifespan law; then each configuration draws its fields.
 Every radius depends on its own row alone, so
-estimates are bit-identical whatever else shares the sweep, and for any
-parallelism, which maps a sweep's configurations over one process pool
-as wide as the largest parallelism among them, but no wider than their
-number.
+estimates are bit-identical whatever else shares the sweep.
 """
 
 from __future__ import annotations
@@ -89,7 +86,8 @@ class SimulationConfig:
     draws the requested object's size from the law for every request, as
     the object's rank order statistic among F draws when reorder (one of
     content.ORDERING_MODES) sorts them, which turns the estimate into an
-    expectation over file-size realizations as well.
+    expectation over file-size realizations as well. parallelism is
+    validated but selects nothing: every estimate runs serially.
     """
 
     inputs: AnalyticInputs
@@ -104,7 +102,11 @@ class SimulationConfig:
         check_integer("iterations", self.iterations, 1)
         check_integer("parallelism", self.parallelism, 1)
         check_ordering(self.reorder)
-        for seed in self.master_seed if isinstance(self.master_seed, tuple) else (self.master_seed,):
+        seeds = self.master_seed if isinstance(self.master_seed, tuple) else (self.master_seed,)
+        if not seeds:
+            # numpy would read SeedSequence(()) as seed 0
+            raise ValueError("master_seed must be a nonnegative integer or a nonempty tuple of them, got ()")
+        for seed in seeds:
             check_integer("master_seed", seed, 0)
 
 
@@ -226,10 +228,9 @@ def _sweep_radii(configs, drawn) -> list:
     return found
 
 
-def _sample_requests(task):
-    """Phase 3 of a config (inputs, rng, j, z, r_max): whether each request
-    is served by the field drawn on its disc of radius r_max."""
-    inputs, rng, j, z, r_max = task
+def _sample_requests(inputs: AnalyticInputs, rng: np.random.Generator, j: np.ndarray, z: np.ndarray, r_max: np.ndarray):
+    """Phase 3 of a config: whether each request is served by the field
+    drawn on its disc of radius r_max."""
     owner, r = sample_disc(inputs.density * inputs.policy.b[j], r_max, rng)
     h = sample_fading(inputs.fading, rng, size=owner.size)
     tau = sample_lifespan(inputs.lifespan, rng, size=owner.size)
@@ -249,16 +250,9 @@ def _estimate(configs: list) -> list:
                 f"radius: truncation bias bound {worst:.3g} exceeds {TRUNCATION_BOUND:g}",
                 stacklevel=3,
             )
-    tasks = [(c.inputs, *requests, r_max) for c, requests, (r_max, _) in zip(configs, drawn, radii)]
-    workers = min(max((config.parallelism for config in configs), default=1), len(configs))
-    if workers <= 1:
-        served = map(_sample_requests, tasks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            served = list(pool.map(_sample_requests, tasks, chunksize=-(-len(configs) // workers)))
     estimates = []
-    for success in served:
+    for config, requests, (r_max, _) in zip(configs, drawn, radii):
+        success = _sample_requests(config.inputs, *requests, r_max)
         p = float(success.mean())
         estimates.append(MetricEstimate(p, math.sqrt(p * (1.0 - p) / success.size), success.size))
     return estimates

@@ -12,7 +12,6 @@ reproduced by this configuration.
 """
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -47,9 +46,6 @@ from d2dcache import (
 import d2dcache.experiments as experiments
 from d2dcache.analytics import _coefficient
 
-WORKERS = max(os.cpu_count() or 1, 4)
-
-
 # =================================================================== 1 & 2
 
 
@@ -57,7 +53,7 @@ WORKERS = max(os.cpu_count() or 1, 4)
 def validation_rows():
     """Full validation runs (2000 iterations per sweep point)."""
     return {
-        name: run_preset(build_preset(name, parallelism=WORKERS))
+        name: run_preset(build_preset(name))
         for name in ("validate_audio", "validate_video")
     }
 
@@ -205,7 +201,7 @@ def test_cached_mass_reference_constant():
 
 @pytest.fixture(scope="session")
 def correlation_rows():
-    rows = run_preset(build_preset("correlation_video", parallelism=WORKERS))
+    rows = run_preset(build_preset("correlation_video"))
     by_point = {}
     for row in rows:
         by_point.setdefault(row.sweep_value, {})[row.variant] = row
@@ -364,33 +360,27 @@ def test_degenerate_size_law_equals_closed_form(video_inputs):
 
 
 def _rerun_bytes(tmp_path, body):
-    """CSV bytes of a config run twice serially and once on WORKERS workers."""
+    """CSV bytes of a config run twice."""
     config = tmp_path / "repro.ini"
     config.write_text(body)
     outputs = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", WORKERS)):
+    for tag in ("a", "b"):
         out = tmp_path / f"{tag}.csv"
-        code = experiments.main(
-            ["run", str(config), "--parallelism", str(workers), "--out", str(out)]
-        )
-        assert code == 0
+        assert experiments.main(["run", str(config), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     return outputs
 
 
 @pytest.mark.criterion(7, "byte-identical reruns", part="validate")
-def test_csv_output_reproducible_across_runs_and_workers(tmp_path):
+def test_csv_output_reproducible_across_runs(tmp_path):
     outputs = _rerun_bytes(tmp_path, "[validate_audio]\niterations = 250\nseed = 5\ntau_grid = 10, 55, 100\n")
-    assert outputs[0] == outputs[1], "same seed, same worker count"
-    assert outputs[0] == outputs[2], "same seed, different worker count"
+    assert outputs[0] == outputs[1], "same seed"
 
 
 @pytest.mark.criterion(7, "byte-identical reruns", part="ordered")
-def test_ordered_comparison_csv_reproducible_across_workers(tmp_path):
-    # sizes redrawn per request as order statistics; the run's sweep
-    # points share one process pool at WORKERS workers
+def test_ordered_comparison_csv_reproducible_across_runs(tmp_path):
+    # sizes redrawn per request as order statistics
     outputs = _rerun_bytes(
         tmp_path, "[ordered_comparison]\niterations = 600\nseed = 5\ntau_grid = 100, 1000\n"
     )
-    assert outputs[0] == outputs[1], "same seed, same worker count"
-    assert outputs[0] == outputs[2], "same seed, different worker count"
+    assert outputs[0] == outputs[1], "same seed"

@@ -103,6 +103,9 @@ def test_preset_validation_errors():
     # one past the limit used to build, and run_preset then allocated by it
     with pytest.raises(ConfigError, match=r"catalogue_size must be a finite number in \[2, 1000000\]"):
         build_preset("validate_audio", catalogue_size=10**6 + 1)
+    # an unknown sweep name used to run every point at fixed_lifespan
+    with pytest.raises(ConfigError, match="unknown sweep 'bogus'"):
+        build_preset("validate_audio", iterations=50, sweeps=(("bogus", (10.0, 100.0)),))
 
 
 def test_preset_validation_allocates_nothing_per_object():
@@ -159,13 +162,12 @@ def write_config(tmp_path, body, name="run.ini"):
 def test_load_config_round_trip(tmp_path):
     path = write_config(
         tmp_path,
-        "[validate_audio]\niterations = 25\nseed = 3\ntau_grid = 10, 50, 100\nparallelism = 2\n",
+        "[validate_audio]\niterations = 25\nseed = 3\ntau_grid = 10, 50, 100\n",
     )
     preset = load_config(path)
     assert preset.name == "validate_audio"
     assert preset.iterations == 25
     assert preset.seed == 3
-    assert preset.parallelism == 2
     assert preset.sweeps == (("tau_mean", (10.0, 50.0, 100.0)),)
 
 
@@ -186,9 +188,10 @@ def test_load_config_two_sections(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("key", ["lifespan", "mc_samples"])
+@pytest.mark.parametrize("key", ["lifespan", "mc_samples", "parallelism"])
 def test_load_config_unknown_key(tmp_path, key):
-    # the size expectation is deterministic, so mc_samples is no config key
+    # the size expectation is deterministic, so mc_samples is no config key,
+    # and the simulator runs serially, so parallelism is none either
     path = write_config(tmp_path, f"[expected_comparison]\n{key} = 100\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path)
@@ -579,6 +582,15 @@ def test_cli_run_unknown_target(capsys):
     assert experiments.main(["run", "validate_ultrasound"]) == 1
     assert experiments.main(["run", "expected_comparison", "--mc-samples", "1000"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_has_no_parallelism_option(tmp_path, capsys):
+    # the simulator runs serially, so no flag or key sets a worker count
+    assert experiments.main(["run", "validate_audio", "--parallelism", "2"]) == 1
+    assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
+    path = write_config(tmp_path, "[validate_audio]\niterations = 10\nparallelism = 2\n")
+    assert experiments.main(["run", str(path)]) == 1
+    assert "unknown key 'parallelism'" in capsys.readouterr().err
 
 
 def test_cli_custom_requires_config(capsys):
