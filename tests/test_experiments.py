@@ -73,6 +73,13 @@ def test_build_preset_rejects_unknown_field():
         build_preset("validate_audio", lifespa_grid=(1.0,))
 
 
+def test_parallelism_field_selects_nothing():
+    # still validated because callers pass it, but the run is serial at any value
+    serial = run_preset(build_preset("validate_audio", iterations=50, tau_grid=(10.0, 100.0)))
+    wide = run_preset(build_preset("validate_audio", iterations=50, tau_grid=(10.0, 100.0), parallelism=2))
+    assert wide == serial
+
+
 def test_custom_preset_is_a_video_validate_clone():
     preset = build_preset("custom", iterations=10)
     assert preset.name == "custom"

@@ -3,6 +3,7 @@ import inspect
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_simulator_reads_no_closed_form():
             imported.update({alias.name: set() for alias in node.names})
     assert imported["analytics"] == {"AnalyticInputs", "MetricEstimate"}
     assert not [module for module in imported if module.split(".")[0] == "scipy"]
+
+
+def test_package_starts_no_worker_processes():
+    # every estimate runs serially in the caller's process
+    for path in sorted(Path(simulator.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")], path.name
 
 
 # ------------------------------------------------------------- degenerate
