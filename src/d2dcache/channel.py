@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn, hyp1f1, poch
 
-from .content import check_real, check_reals
+from .content import check_real, check_reals, finite_valued
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,7 @@ def link_bits(params: RadioParams, h, r, tau):
     return tau * params.bandwidth * np.log1p(gain) / math.log(2.0)
 
 
+@finite_valued
 def fading_moment(law: FadingLaw, alpha: float) -> float:
     """The moment E[H^(2/alpha)] of the fading variable.
 

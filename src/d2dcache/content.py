@@ -7,6 +7,8 @@ size-expectation quadrature all map uniforms to sizes.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -124,10 +126,29 @@ def sample_sizes(law: SizeLaw, F: int, rng: np.random.Generator) -> np.ndarray:
     return law.inverse_cdf(rng.random(F))
 
 
+def finite_valued(moment):
+    """moment, raising ArithmeticError that names its arguments where its value overflows or is not finite."""
+    signature = inspect.signature(moment)
+
+    @functools.wraps(moment)
+    def checked(*args, **kwargs):
+        try:
+            value = moment(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            at = ", ".join(f"{k}={v!r}" for k, v in signature.bind(*args, **kwargs).arguments.items())
+            raise ArithmeticError(f"{moment.__name__} is not finite at {at}, got {value}")
+        return value
+
+    return checked
+
+
+@finite_valued
 def mean_size(law: SizeLaw) -> float:
     """Analytic mean of the size law in bits."""
     if isinstance(law, UniformSize):
-        return 0.5 * (law.z_min + law.z_max)
+        return 0.5 * law.z_min + 0.5 * law.z_max  # z_min + z_max may overflow
     if isinstance(law, ExponentialSize):
         return 1.0 / law.rate
     if isinstance(law, ParetoSize):

@@ -1,31 +1,5 @@
 """Experiment presets, configuration files, result emission and the CLI.
 
-Default experiment constants (all presets start from these):
-
-    ========================  =========  =====================================
-    constant                  value      meaning
-    ========================  =========  =====================================
-    DENSITY                   2.5e-3     transmitters per square meter
-    POWER                     0.5        transmit power
-    NOISE_DENSITY             1e-11      noise power per Hz (in-band noise is
-                                         NOISE_DENSITY * BANDWIDTH)
-    BANDWIDTH                 5e6        per-link bandwidth, Hz
-    PATHLOSS_EXPONENT         4.0        power-law path loss exponent
-    CATALOGUE_SIZE            100        objects (200 for ordered_comparison)
-    CATALOGUE_SIZE_LIMIT      10**6      largest catalogue_size a preset takes
-    ZIPF_EXPONENT             0.78       popularity skew
-    CACHE_CAPACITY            5          objects per transmitter cache
-    ITERATIONS                2000       Monte Carlo iterations per point
-    AUDIO_MEAN_BITS           1e7        mean audio file size
-    VIDEO_MEAN_BITS           1e9        mean video file size
-    AUDIO_TAU_GRID            10..100    mean-lifespan sweep, audio (s)
-    VIDEO_TAU_GRID            100..1000  mean-lifespan sweep, video (s)
-    COMPARISON_LIFESPAN       1000.0     fixed lifespan of the density sweep
-    DENSITY_GRID              1e-4..1e-2 density sweep (log-spaced)
-    WINDOW_HALF_WIDTH         3000.0     cap on every simulation radius, m
-                                         (window_half_width overrides it)
-    ========================  =========  =====================================
-
 One sweep runner, run_preset, serves the three preset kinds; they differ
 only in how each variant is set up:
 
@@ -95,23 +69,39 @@ from .simulator import SimulationConfig, estimate_sweep
 
 log = logging.getLogger(__name__)
 
+# transmitters per square meter
 DENSITY = 2.5e-3
+# transmit power, W
 POWER = 0.5
+# noise power spectral density, W/Hz; the in-band noise is NOISE_DENSITY * BANDWIDTH
 NOISE_DENSITY = 1e-11
+# per-link bandwidth, Hz
 BANDWIDTH = 5e6
+# path loss exponent alpha of r^-alpha, dimensionless
 PATHLOSS_EXPONENT = 4.0
+# objects in a catalogue; COMPARISON_CATALOGUE_SIZE for ordered_comparison
 CATALOGUE_SIZE = 100
+# largest catalogue_size a preset takes, objects
 CATALOGUE_SIZE_LIMIT = 10**6
+# Zipf popularity exponent, dimensionless
 ZIPF_EXPONENT = 0.78
+# objects per transmitter cache
 CACHE_CAPACITY = 5
+# Monte Carlo requests per point
 ITERATIONS = 2000
+# mean audio and video file sizes, bits
 AUDIO_MEAN_BITS = 1e7
 VIDEO_MEAN_BITS = 1e9
+# mean-lifespan sweeps for audio and video, s
 AUDIO_TAU_GRID = tuple(np.linspace(10.0, 100.0, 10).tolist())
 VIDEO_TAU_GRID = tuple(np.linspace(100.0, 1000.0, 10).tolist())
+# fixed lifespan of the comparison presets' density sweep, s
 COMPARISON_LIFESPAN = 1000.0
+# objects in ordered_comparison's catalogue
 COMPARISON_CATALOGUE_SIZE = 200
+# density sweep, transmitters per square meter, log-spaced
 DENSITY_GRID = tuple(np.logspace(-4, -2, 7).tolist())
+# cap on every simulation radius unless window_half_width overrides it, m
 WINDOW_HALF_WIDTH = 3000.0
 
 COMPARISON_SIZE_LAWS = {
@@ -237,56 +227,36 @@ class ResultRow:
         check_real("stderr", self.stderr, 0, math.inf, "[)")
 
 
-def _builtin_presets() -> dict:
-    return {
-        "validate_audio": ExperimentPreset(
-            name="validate_audio",
-            kind="validate",
-            sweeps=(("tau_mean", AUDIO_TAU_GRID),),
-            variants=("audio",),
-            size_mean_bits=AUDIO_MEAN_BITS,
-        ),
-        "validate_video": ExperimentPreset(
-            name="validate_video",
-            kind="validate",
-            sweeps=(("tau_mean", VIDEO_TAU_GRID),),
-            variants=("video",),
-            size_mean_bits=VIDEO_MEAN_BITS,
-        ),
-        "correlation_video": ExperimentPreset(
-            name="correlation_video",
-            kind="correlation",
-            sweeps=(("tau_mean", VIDEO_TAU_GRID),),
-            variants=("increasing", "independent", "decreasing"),
-            size_mean_bits=VIDEO_MEAN_BITS,
-        ),
-        "expected_comparison": ExperimentPreset(
-            name="expected_comparison",
-            kind="comparison",
-            sweeps=(("tau_mean", VIDEO_TAU_GRID), ("density", DENSITY_GRID)),
-            variants=tuple(COMPARISON_SIZE_LAWS),
-        ),
-        "ordered_comparison": ExperimentPreset(
-            name="ordered_comparison",
-            kind="comparison",
-            sweeps=(("tau_mean", VIDEO_TAU_GRID), ("density", DENSITY_GRID)),
-            variants=tuple(COMPARISON_SIZE_LAWS),
-            catalogue_size=COMPARISON_CATALOGUE_SIZE,
-            reorder="decreasing",
-        ),
-    }
-
-
-PRESET_NAMES = tuple(_builtin_presets())
-
-PRESET_SUMMARIES = {
-    "validate_audio": "simulated vs closed-form success over the audio mean-lifespan sweep",
-    "validate_video": "simulated vs closed-form success over the video mean-lifespan sweep",
-    "correlation_video": "size/popularity ordering study on a common video size sample",
-    "expected_comparison": "expected success for five size laws over lifespan and density sweeps",
-    "ordered_comparison": "the five-law comparison with sizes assigned large-to-popular",
-    "custom": "validate-style run with user-supplied parameters (config file only)",
+# the presets; each derived one replaces only the fields in which it differs from its base
+_AUDIO = ExperimentPreset(
+    name="validate_audio", kind="validate", variants=("audio",), sweeps=(("tau_mean", AUDIO_TAU_GRID),),
+    size_mean_bits=AUDIO_MEAN_BITS,
+)
+_VIDEO = replace(
+    _AUDIO, name="validate_video", variants=("video",), sweeps=(("tau_mean", VIDEO_TAU_GRID),),
+    size_mean_bits=VIDEO_MEAN_BITS,
+)
+# the variants in this order, not ORDERING_MODES', which would reorder the rows
+_CORRELATION = replace(
+    _VIDEO, name="correlation_video", kind="correlation", variants=("increasing", "independent", "decreasing")
+)
+_EXPECTED = ExperimentPreset(
+    name="expected_comparison", kind="comparison", variants=tuple(COMPARISON_SIZE_LAWS),
+    sweeps=(("tau_mean", VIDEO_TAU_GRID), ("density", DENSITY_GRID)),
+)
+_ORDERED = replace(_EXPECTED, name="ordered_comparison", catalogue_size=COMPARISON_CATALOGUE_SIZE, reorder="decreasing")
+# each preset by name, in list-presets order: its one-line summary and itself
+PRESETS = {
+    preset.name: (summary, preset)
+    for summary, preset in (
+        ("simulated vs closed-form success over the audio mean-lifespan sweep", _AUDIO),
+        ("simulated vs closed-form success over the video mean-lifespan sweep", _VIDEO),
+        ("size/popularity ordering study on a common video size sample", _CORRELATION),
+        ("expected success for five size laws over lifespan and density sweeps", _EXPECTED),
+        ("the five-law comparison with sizes assigned large-to-popular", _ORDERED),
+    )
 }
+PRESET_NAMES = tuple(PRESETS)
 
 # keys accepted in config files and their parsers
 _OVERRIDE_TYPES = {
@@ -312,13 +282,9 @@ _CLI_KEYS = ("seed", "iterations", "out", "format")
 
 def build_preset(name: str, **overrides) -> ExperimentPreset:
     """Instantiate a named preset, applying overrides: config keys or preset field names."""
-    presets = _builtin_presets()
-    if name == "custom":
-        base = replace(presets["validate_video"], name="custom", variants=("custom",))
-    elif name in presets:
-        base = presets[name]
-    else:
-        raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES + ('custom',))}")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")
+    _, base = PRESETS[name]
     renames = {"out": "out_path", "format": "out_format"}
     mapped = {renames.get(key, key): value for key, value in overrides.items() if key != "tau_grid"}
     if "tau_grid" in overrides:
@@ -336,8 +302,8 @@ def _read_config(path) -> dict:
     """build_preset's keywords from an INI-style file: its one [section]'s name, and its keys."""
     parser = configparser.ConfigParser()
     try:
-        loaded = parser.read(path)
-    except configparser.Error as exc:
+        loaded = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not loaded:
         raise ConfigError(f"config file not found: {path}")
@@ -370,11 +336,6 @@ def _annotated(context: str):
         yield
     except (ArithmeticError, ValueError) as exc:
         raise type(exc)(f"{exc} ({context})") from exc
-
-
-def _at_point(sweep_name, value, variant):
-    """Attach the failing sweep point to numeric and value errors."""
-    return _annotated(f"at {sweep_name}={value}, variant={variant!r}")
 
 
 def _variants(preset: ExperimentPreset, popularity, policy) -> list:
@@ -459,7 +420,7 @@ def run_preset(preset: ExperimentPreset) -> list:
     for s_idx, (sweep_name, grid) in enumerate(preset.sweeps):
         for p_idx, value in enumerate(grid):
             for v_idx, (variant, catalogue, order, law, rule) in enumerate(variants):
-                with _at_point(sweep_name, value, variant):
+                with _annotated(f"at {sweep_name}={value}, variant={variant!r}"):
                     inputs = AnalyticInputs(
                         density=value if sweep_name == "density" else preset.density,
                         radio=radio,
@@ -546,8 +507,6 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.target == "custom":
-        raise ConfigError("the custom preset requires a config file")
     if args.target in PRESET_NAMES:
         keys = {"name": args.target}
     elif os.path.exists(args.target):
@@ -571,8 +530,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "list-presets":
-            for name in PRESET_NAMES + ("custom",):
-                print(f"{name}: {PRESET_SUMMARIES[name]}")
+            for name, (summary, _) in PRESETS.items():
+                print(f"{name}: {summary}")
             return 0
         if args.command == "validate":
             preset = load_config(args.path)

@@ -133,8 +133,9 @@ def _campbell_terms(inputs: AnalyticInputs, z, b, density, tau):
         raise TypeError(f"unknown lifespan law {law!r}")
     q = 2.0 / radio.pathloss_exponent
     with np.errstate(over="ignore", divide="ignore"):
-        # k_T = inf (a lifespan far too short to deliver z) has share 0; log k_T = 0 keeps it 0
-        x = np.reshape(z, (-1, 1)) * (math.log(2) / (radio.bandwidth * t))
+        # k_T = inf (a lifespan far too short to deliver z) has share 0; log k_T = 0 keeps it 0.
+        # Dividing by t last keeps W t, which overflows at lifespans near 1e300 s, from being formed
+        x = np.reshape(z, (-1, 1)) * (math.log(2) / radio.bandwidth) / t
         k = inputs.fading.rate * radio.noise / radio.power * np.expm1(x)
         share = (density * math.pi * q * math.gamma(q)) * np.outer(b, w) * k**-q
         return np.log(np.where(share > 0, k, 1.0)), np.log(share / math.gamma(q)), share
@@ -167,8 +168,13 @@ def _radii(inputs: AnalyticInputs, z, b, density, tau, half_width):
         return np.exp(-m_in) * -np.expm1(-m_out)
 
     lo, hi = np.log(cap / 1024.0), np.log(cap)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         at_cap = bound(hi)
+        # a NaN bound comes from an infinite share, which makes it NaN at every radius
+        if np.isnan(at_cap).any():
+            i = np.argmax(np.isnan(at_cap))
+            at = (np.broadcast_to(v, cap.shape)[i] for v in (z, b, tau))
+            raise ArithmeticError("the radius search's bound is NaN at z={:g} bits, b={:g}, tau={:g} s".format(*at))
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
             inside = bound(mid) <= TRUNCATION_BOUND

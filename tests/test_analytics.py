@@ -21,6 +21,7 @@ from d2dcache import (
     MetricEstimate,
     RadioParams,
     UniformSize,
+    WeibullFading,
     coverage_radius_scale,
     expected_success,
     lifespan_moment,
@@ -296,6 +297,15 @@ def test_total_success_zero_with_empty_caches():
     inputs = make_inputs()
     empty = replace(inputs.policy, b=np.zeros(100))
     assert total_success(replace(inputs, policy=empty)).value == 0.0
+
+
+@pytest.mark.parametrize("density", [2.5e-3, 0.0])
+def test_total_success_raises_where_the_fading_moment_is_not_finite(density):
+    # an infinite moment used to give the cached mass, and NaN at density 0
+    inputs = replace(make_inputs(density=density), fading=WeibullFading(1.0, 1e-3))
+    match = r"fading_moment is not finite at law=WeibullFading\(scale=1.0, shape=0.001\)"
+    with pytest.raises(ArithmeticError, match=match):
+        total_success(inputs)
 
 
 def test_total_success_bounded_by_cached_popularity_mass():

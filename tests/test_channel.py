@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ def test_fading_moment_exponential_rate_scaling():
 def test_fading_moment_degenerate_is_one():
     for alpha in (3.0, 4.0, 6.0):
         assert fading_moment(LogNormalFading(0.0, 1e-12), alpha) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "law,alpha",
+    [(ExponentialFading(1e-320), 2.0001), (LogNormalFading(0.0, 1e3), 4.0), (WeibullFading(1.0, 1e-3), 4.0)],
+    ids=["exponential", "lognormal", "weibull"],
+)
+def test_fading_moment_beyond_the_floats_raises_naming_the_law(law, alpha):
+    # the lognormal's math.exp used to raise a bare OverflowError, and the Weibull returned inf;
+    # a Nakagami or Rice moment E[H^s], s < 1, is at most a power s of the finite E[H]
+    match = re.escape(f"fading_moment is not finite at law={law!r}, alpha={alpha!r}, got inf")
+    with pytest.raises(ArithmeticError, match=match):
+        fading_moment(law, alpha)
 
 
 def test_fading_moment_requires_alpha_above_two():

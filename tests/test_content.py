@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,22 @@ def test_mean_size_reference_values():
     assert mean_size(VIDEO_LAWS["lognormal"]) == pytest.approx(1e9, rel=1e-9)
     assert mean_size(VIDEO_LAWS["weibull"]) == pytest.approx(276.0 * gamma_fn(11.0), rel=1e-12)
     assert mean_size(VIDEO_LAWS["weibull"]) == pytest.approx(276.0 * 3_628_800.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [ExponentialSize(1e-320), ParetoSize(1.0 + 1e-15, 1e300), LogNormalSize(0.0, 1e3), WeibullSize(1.0, 1e-3)],
+    ids=["exponential", "pareto", "lognormal", "weibull"],
+)
+def test_mean_size_beyond_the_floats_raises_naming_the_law(law):
+    # the lognormal's math.exp used to raise a bare OverflowError, and the others returned inf
+    with pytest.raises(ArithmeticError, match=re.escape(f"mean_size is not finite at law={law!r}, got inf")):
+        mean_size(law)
+
+
+def test_uniform_mean_size_does_not_overflow():
+    # z_min + z_max overflows, their mean does not
+    assert mean_size(UniformSize(1e308, 1.7e308)) == 1.35e308
 
 
 def test_pareto_infinite_mean_rejected():

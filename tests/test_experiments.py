@@ -33,7 +33,7 @@ from d2dcache import (
     run_preset,
     zipf_popularity,
 )
-from d2dcache.experiments import WINDOW_HALF_WIDTH, _at_point
+from d2dcache.experiments import WINDOW_HALF_WIDTH, _annotated
 
 
 # ------------------------------------------------------------- presets
@@ -78,13 +78,6 @@ def test_parallelism_field_selects_nothing():
     serial = run_preset(build_preset("validate_audio", iterations=50, tau_grid=(10.0, 100.0)))
     wide = run_preset(build_preset("validate_audio", iterations=50, tau_grid=(10.0, 100.0), parallelism=2))
     assert wide == serial
-
-
-def test_custom_preset_is_a_video_validate_clone():
-    preset = build_preset("custom", iterations=10)
-    assert preset.name == "custom"
-    assert preset.kind == "validate"
-    assert preset.variants == ("custom",)
 
 
 def test_preset_validation_errors():
@@ -528,12 +521,22 @@ def test_preset_default_window_does_not_warn(name, seed):
     assert not [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
 
 
-def test_at_point_annotates_errors():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lifespans_near_the_largest_float_give_the_rows_of_long_ones():
+    # W t used to overflow in the radius search at 1e300 s, capping every disc at the window
+    long, longer = (
+        run_preset(build_preset("validate_audio", iterations=200, tau_grid=(tau,))) for tau in (1e290, 1e300)
+    )
+    assert [replace(row, sweep_value=1e300) for row in long] == longer
+    assert longer[0].analytic == pytest.approx(0.425922, abs=1e-6)
+
+
+def test_annotated_attaches_context_to_errors():
     with pytest.raises(ValueError, match=r"boom \(at tau_mean=50.0, variant='audio'\)"):
-        with _at_point("tau_mean", 50.0, "audio"):
+        with _annotated("at tau_mean=50.0, variant='audio'"):
             raise ValueError("boom")
     with pytest.raises(ArithmeticError, match="variant='video'"):
-        with _at_point("density", 0.01, "video"):
+        with _annotated("at density=0.01, variant='video'"):
             raise ArithmeticError("quadrature failed")
 
 
@@ -542,9 +545,15 @@ def test_at_point_annotates_errors():
 
 def test_cli_list_presets(capsys):
     assert experiments.main(["list-presets"]) == 0
-    out = capsys.readouterr().out
-    for name in PRESET_NAMES + ("custom",):
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{name}: {summary}" for name, (summary, _) in experiments.PRESETS.items()]
+    assert [line.split(":")[0] for line in lines] == list(PRESET_NAMES) == [
+        "validate_audio",
+        "validate_video",
+        "correlation_video",
+        "expected_comparison",
+        "ordered_comparison",
+    ]
 
 
 def test_module_execution_runs_the_cli():
@@ -554,7 +563,7 @@ def test_module_execution_runs_the_cli():
     argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "d2dcache", "list-presets"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert [line.split(":")[0] for line in done.stdout.splitlines()] == list(PRESET_NAMES + ("custom",))
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] == list(PRESET_NAMES)
 
 
 def test_cli_validate_config(tmp_path, capsys):
@@ -600,9 +609,36 @@ def test_cli_has_no_parallelism_option(tmp_path, capsys):
     assert "unknown key 'parallelism'" in capsys.readouterr().err
 
 
-def test_cli_custom_requires_config(capsys):
+def test_cli_rejects_the_retired_custom_preset(tmp_path, capsys):
+    # custom was validate_video under another name; a [validate_video] file runs it
     assert experiments.main(["run", "custom"]) == 1
-    assert "config file" in capsys.readouterr().err
+    assert "'custom' is neither a preset name nor an existing config file" in capsys.readouterr().err
+    path = write_config(tmp_path, "[custom]\niterations = 10\n")
+    for command in ("run", "validate"):
+        assert experiments.main([command, str(path)]) == 1
+        assert "error: unknown preset 'custom'; expected one of validate_audio, " in capsys.readouterr().err
+
+
+def test_validate_video_file_gives_a_former_custom_runs_rows(tmp_path):
+    # the rows that [custom] gave with these keys, whose variant was "custom"
+    keys = "iterations = 40\nseed = 3\ntau_grid = 100, 400\ncatalogue_size = 30\ncache_capacity = 4\n"
+    path = write_config(tmp_path, f"[validate_video]\n{keys}size_mean_bits = 5e8\ndensity = 3e-3\n")
+    rows = run_preset(load_config(path))
+    assert [(r.sweep_value, r.variant, r.simulated, r.stderr, r.n_iter, r.seed) for r in rows] == [
+        (100.0, "video", 0.275, 0.07060010623221469, 40, 3),
+        (400.0, "video", 0.575, 0.07816249100431741, 40, 3),
+    ]
+    assert [r.analytic for r in rows] == pytest.approx([0.282706026131545, 0.4145663085045931], rel=1e-12)
+
+
+def test_cli_reports_an_undecodable_config_file(tmp_path, capsys):
+    # a UTF-16 byte order mark is no UTF-8
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"\xff\xfe\x00[validate_audio]\n")
+    for command in ("run", "validate"):
+        assert experiments.main([command, str(path)]) == 1
+        message = f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        assert capsys.readouterr().err == message
 
 
 def test_cli_numeric_failures_exit_two(monkeypatch, capsys):

@@ -36,7 +36,7 @@ from d2dcache import (
     total_success,
     zipf_popularity,
 )
-from d2dcache import simulator
+from d2dcache import analytics, simulator
 from d2dcache.analytics import size_rule
 from d2dcache.experiments import _radio
 from d2dcache.simulator import (
@@ -84,15 +84,24 @@ def make_config(inputs, iterations=400, seed=11, **kw):
 
 def test_simulator_reads_no_closed_form():
     # the Monte Carlo checks the closed form, so it may take only the input
-    # and result types from analytics, and nothing from scipy
-    imported = {}
+    # and result types from analytics, and nothing from scipy; nor may it
+    # name any function of analytics, or the closed form's fading_moment,
+    # however it reaches them
+    imported, named = {}, set()
     for node in ast.walk(ast.parse(inspect.getsource(simulator))):
         if isinstance(node, ast.ImportFrom):
-            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+            imported.setdefault(node.module or "", set()).update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update({alias.name: set() for alias in node.names})
+        # every identifier and string it spells: names, attributes, imports, definitions, arguments
+        spelled = (getattr(node, field, None) for field in ("id", "attr", "name", "asname", "arg", "value"))
+        named.update(word for word in spelled if isinstance(word, str))
     assert imported["analytics"] == {"AnalyticInputs", "MetricEstimate"}
     assert not [module for module in imported if module.split(".")[0] == "scipy"]
+    analytics_body = ast.parse(inspect.getsource(analytics)).body
+    closed_form = {node.name for node in analytics_body if isinstance(node, ast.FunctionDef)}
+    assert "total_success" in closed_form
+    assert named & (closed_form | {"fading_moment"}) == set()
 
 
 def test_package_starts_no_worker_processes():
@@ -499,6 +508,29 @@ def test_radius_contract_holds_on_extreme_inputs():
         undeliverable += np.any(share == 0)
     # the list reaches both edges that the bound has to survive
     assert overflowed >= 10 and undeliverable >= 10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radius_holds_at_lifespans_near_the_largest_float():
+    # W t overflowed at the top lifespan nodes, 100 tau, which made every
+    # bound NaN and every radius the cap, without the cap's warning; at such
+    # lifespans every transmitter in the plane qualifies, whatever tau
+    inputs = _validate_inputs("validate_audio", 1e290)
+    cached = inputs.policy.b > 0
+    z, b = inputs.catalogue.sizes[cached], inputs.policy.b[cached]
+    radius = {tau: _radii(inputs, z, b, inputs.density, tau, 3000.0) for tau in (1e290, 1e300, 3e301)}
+    assert np.all(radius[1e290][0] < 3000.0) and not np.any(radius[1e290][1])
+    for tau in (1e300, 3e301):
+        assert np.array_equal(radius[tau][0], radius[1e290][0]) and not np.any(radius[tau][1]), tau
+
+
+def test_a_nan_radius_bound_raises_naming_the_row():
+    # at alpha near 2 the share of a 1e308 s lifespan overflows to inf, and the bounds take inf - inf
+    inputs = small_inputs(tau_mean=1e308, lifespan=FixedLifespan, size_bits=1e9)
+    inputs = replace(inputs, radio=replace(inputs.radio, pathloss_exponent=2.01))
+    config = make_config(inputs, iterations=5, half_width=3000.0)
+    with pytest.raises(ArithmeticError, match=r"bound is NaN at z=1e\+09 bits, b=1, tau=1e\+308 s"):
+        estimate_total_success(config)
 
 
 def test_window_truncation_contributes_nothing_beyond_half_width():
